@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 # Percentile levels tried for the ``.tail`` figure, highest first.
-TAIL_LEVELS = (99.9, 99.0, 90.0, 50.0)
+TAIL_LEVELS = (99.0, 90.0, 50.0)
 TAIL_MIN_BEYOND = 10
 
 
@@ -40,23 +40,6 @@ def tail(values) -> tuple[float, float, int]:
         if math.floor(n * (1.0 - level / 100.0) + 1e-9) >= TAIL_MIN_BEYOND:
             return level, percentile(values, level), n
     return 50.0, median(values), n
-
-
-def windowed_tail(windows) -> tuple[float, float, int]:
-    """Median over windows of operations of each window's ``tail``.
-
-    A window is a run of consecutive operations (one pass over a pool of
-    inputs). Taking the tail per window and then the median over windows
-    keeps one disturbed stretch of a run from setting the figure.
-    Returns ``(level, value, n)`` with ``n`` the smallest window size,
-    whose level every window shares when the windows are equally long.
-    """
-    if not windows or not all(windows):
-        raise ValueError("windowed_tail needs non-empty windows")
-    per_window = [tail(w) for w in windows]
-    n = min(len(w) for w in windows)
-    level = min(level for level, _, _ in per_window)
-    return level, median([value for _, value, _ in per_window]), n
 
 
 def fail_ratio(attempted: int, failed: int) -> float:

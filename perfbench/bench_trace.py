@@ -20,6 +20,7 @@ from collections import Counter
 
 from bench_stats import span_table
 
+PACKAGE = "dirmusic"
 LAYERS = ("pattern", "manifold", "signal", "estimator", "experiments", "pipeline", "io", "cli")
 
 
@@ -82,19 +83,19 @@ class Tracer:
 
         return traced
 
-    def install(self, package: str = "dirmusic") -> None:
+    def install(self) -> None:
         """Wrap the public functions of every layer at every binding."""
         wrappers = {}
         self.names = ["pipeline.FilterSpec.kernel"]
         for layer in LAYERS:
-            module = importlib.import_module(f"{package}.{layer}")
+            module = importlib.import_module(f"{PACKAGE}.{layer}")
             for name, fn in public_functions(module):
                 self.names.append(f"{layer}.{name}")
                 wrappers[fn] = self.wrap(self.names[-1], fn)
-        spec_cls = importlib.import_module(f"{package}.pipeline").FilterSpec
+        spec_cls = importlib.import_module(f"{PACKAGE}.pipeline").FilterSpec
         self._patch(spec_cls, "kernel", self.wrap(self.names[0], spec_cls.kernel))
         for mod_name, module in list(sys.modules.items()):
-            if module is None or not (mod_name == package or mod_name.startswith(package + ".")):
+            if module is None or not (mod_name == PACKAGE or mod_name.startswith(PACKAGE + ".")):
                 continue
             for attr, value in list(vars(module).items()):
                 if inspect.isfunction(value) and value in wrappers:

@@ -36,7 +36,7 @@ from bench_stats import (  # noqa: E402
     fail_ratio,
     median,
     pooled_mean_var,
-    windowed_tail,
+    tail,
     within,
 )
 from bench_trace import Tracer  # noqa: E402
@@ -70,7 +70,26 @@ def short_pulse():
     return signal.pd_pulse(signal.PulseModel(), signal.SamplingSpec(RATE_HZ, 256))
 
 
-class McStudy:
+class InProcess:
+    """A workload whose unit of work runs in the workload process."""
+
+    RUSAGE = resource.RUSAGE_SELF  # whose peak RSS is the program's
+
+    def timed_unit(self, traced: bool, tracer: Tracer):
+        """Run ``unit()``, traced or not: ``(wall_s, attempted, failed, table)``."""
+        if traced:
+            tracer.install()
+            tracer.reset()
+        t0 = time.perf_counter()
+        try:
+            attempted, failed = self.unit()
+        finally:
+            wall_s = time.perf_counter() - t0
+            tracer.uninstall()
+        return wall_s, attempted, failed, tracer.table() if traced else None
+
+
+class McStudy(InProcess):
     """The acceptance settings through the public sweep functions.
 
     One pass runs every setting at ``TRIALS`` trials with its own master
@@ -80,7 +99,9 @@ class McStudy:
 
     ALIASES = {"ops_per_s": ("trials_per_s", 1.0, "1/s")}
 
-    TRIALS = 20
+    # Small enough that a 30 s run makes over 100 passes, so that the
+    # tail of the pass time is resolved at p90.
+    TRIALS = 3
     SNR_DB = (10.0, 5.0, 0.0, -5.0, -10.0)
     EPSILON = (0.025, 0.05, 0.075, 0.1)
     ELEMENTS = (1, 2, 4, 6, 8, 10)
@@ -126,7 +147,7 @@ class McStudy:
             attempted=self.trials_per_pass * len(pass_s),
             failed=failed,
             ops_per_s=self.trials_per_pass / median(pass_s),
-            op_windows=[[t] for t in pass_s],
+            op_s=pass_s,
         )
         return result
 
@@ -185,6 +206,7 @@ class EstimateFile:
     process per call."""
 
     ALIASES = {"op_ms.p50": ("latency_s.p50", 1e-3, "s"), "op_ms.tail": ("latency_s.tail", 1e-3, "s")}
+    RUSAGE = resource.RUSAGE_CHILDREN  # the CLI processes are the program
     N_SAMPLES = 200_000
     SNR_DB = 25.0  # over the 256-sample pulse window
     ARGS = ("--offsets", ",".join(f"{o:g}" for o in SUBSET4), "--taps", "1001")
@@ -246,12 +268,13 @@ class EstimateFile:
             attempted=len(latencies),
             failed=len(problems),
             ops_per_s=1.0 / median(latencies),
-            op_windows=[[t] for t in latencies],
+            op_s=latencies,
         )
         return result
 
-    def timed_unit(self, traced: bool):
-        """One CLI call, traced or not: ``(wall_s, attempted, failed, table)``."""
+    def timed_unit(self, traced: bool, tracer: Tracer):
+        """One CLI call, traced or not: ``(wall_s, attempted, failed, table)``.
+        The child process runs its own tracer; ``tracer`` is unused."""
         spans_path = self.workdir / "cli-spans.json"
         latency, problem, err = self.call(spans_path if traced else None)
         if problem is None and err >= THRESHOLD_DEG:
@@ -280,7 +303,7 @@ class EstimateFile:
         }
 
 
-class PipelineStream:
+class PipelineStream(InProcess):
     """Short in-memory recordings through ``process_recording``, one at
     a time, in passes over a pool built in set-up."""
 
@@ -349,7 +372,7 @@ class PipelineStream:
             attempted=len(latencies),
             failed=failed,
             ops_per_s=self.POOL / median(cycle_s),
-            op_windows=[latencies[i : i + self.POOL] for i in range(0, len(latencies), self.POOL)],
+            op_s=latencies,
         )
         return result
 
@@ -375,11 +398,10 @@ class PipelineStream:
 WORKLOADS = {"mc_study": McStudy, "estimate_file": EstimateFile, "pipeline_stream": PipelineStream}
 
 
-def peak_rss_mb() -> float:
-    """Peak RSS of this process and of its largest waited-for child."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0
+def peak_rss_mb(who: int) -> float:
+    """Peak RSS of this process (``RUSAGE_SELF``) or of its largest
+    waited-for child (``RUSAGE_CHILDREN``)."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def environment() -> dict:
@@ -423,36 +445,19 @@ def unit_figures(table: dict, names, wall_s: float, untraced_s: float) -> dict:
     return figures
 
 
-def in_process_unit(work, tracer: Tracer, traced: bool):
-    """Run ``work.unit()``, traced or not: ``(wall_s, attempted, failed, table)``."""
-    if traced:
-        tracer.install()
-        tracer.reset()
-    t0 = time.perf_counter()
-    try:
-        attempted, failed = work.unit()
-    finally:
-        wall_s = time.perf_counter() - t0
-        tracer.uninstall()
-    return wall_s, attempted, failed, tracer.table() if traced else None
-
-
 def traced_run(work, tracer: Tracer, setup_table: dict, seconds: float) -> dict:
     """Repeat (untraced unit, traced unit, CLI import probe) until the
     time is up, alternating which unit runs first; report the median
     figures of one unit."""
     tracer.uninstall()
-    if not isinstance(work, EstimateFile):
-        work.unit()  # warm-up, so that the first timed unit pays no lazy set-up
-    units, attempted, failed = [], 0, 0
+    # Warm-up, so that the first timed unit pays no lazy set-up.
+    _, attempted, failed, _ = work.timed_unit(False, tracer)
+    units = []
     start = time.perf_counter()
     while not units or time.perf_counter() - start < seconds:
         walls = {}
         for traced in (False, True) if len(units) % 2 == 0 else (True, False):
-            if isinstance(work, EstimateFile):
-                wall_s, n, f, table = work.timed_unit(traced)
-            else:
-                wall_s, n, f, table = in_process_unit(work, tracer, traced)
+            wall_s, n, f, table = work.timed_unit(traced, tracer)
             walls[traced] = wall_s
             attempted += n
             failed += f
@@ -505,16 +510,18 @@ def main() -> int:
         tracer.uninstall()
     else:
         result = work.measure(args.seconds)
-        windows = result.pop("op_windows")
-        level, tail_s, n = windowed_tail(windows)
-        result["op_ms.p50"] = 1e3 * median([t for w in windows for t in w])
+        op_s = result.pop("op_s")
+        level, tail_s, n = tail(op_s)
+        result["op_ms.p50"] = 1e3 * median(op_s)
         result["op_ms.tail"] = 1e3 * tail_s
-        result["op_tail"] = f"p{level:g} of windows of {n} operations, median of {len(windows)} windows"
+        result["op_tail"] = f"p{level:g} of {n} operations" + (
+            "" if level > 50.0 else " (unresolved: fewer than 20 operations, so the median)"
+        )
         fails = fail_ratio(result["attempted"], result["failed"])
         result["report"]["fail_ratio"] = [fails, "ratio", f"{result['failed']} of {result['attempted']}"]
         for metric, (alias, scale, unit) in work.ALIASES.items():
             result["report"][alias] = [result[metric] * scale, unit, metric]
-    result["peak_rss_mb"] = peak_rss_mb()
+    result["peak_rss_mb"] = peak_rss_mb(work.RUSAGE)
     result["environment"] = environment()
     print(json.dumps(result), flush=True)
     return 0

