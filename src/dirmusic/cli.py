@@ -29,7 +29,7 @@ from .experiments import (
     run_snr_sweep,
     summarize,
 )
-from .manifold import ArrayConfig, manifold_matrix
+from .manifold import manifold_matrix
 from .pattern import DEFAULT_PATTERN, fit_pattern
 from .pipeline import FilterSpec, NoPulseFoundError, process_recording
 
@@ -44,6 +44,14 @@ class UsageError(Exception):
     pass
 
 
+#: Keys a config file may carry; any other key is rejected.
+CONFIG_KEYS = frozenset({
+    "schema_version", "elements", "offsets", "snr_db", "snr_db_fixed", "epsilon",
+    "epsilon_fixed", "elements_list", "trials", "seed", "grid_step", "threshold",
+    "band_low_hz", "band_high_hz", "taps",
+})
+
+
 def _load_config(path) -> dict:
     with open(path) as handle:
         try:
@@ -52,6 +60,9 @@ def _load_config(path) -> dict:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     version = cfg.get("schema_version", dio.SCHEMA_VERSION)
     if version != dio.SCHEMA_VERSION:
         raise ValueError(
@@ -82,7 +93,7 @@ def _load_pattern(source: str):
     return dio.read_pattern_csv(source)
 
 
-def _trial_config(args, config: dict) -> TrialConfig:
+def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConfig:
     offsets = _pick(args.offsets, config, "offsets", None)
     if isinstance(offsets, str):
         offsets = _parse_offsets(offsets)
@@ -93,8 +104,10 @@ def _trial_config(args, config: dict) -> TrialConfig:
         n_elements = len(offsets)
     return TrialConfig(
         n_elements=n_elements,
-        snr_db=float(_pick(getattr(args, "snr_db_single", None), config, "snr_db_fixed", 10.0)),
-        manifold_error=float(_pick(getattr(args, "epsilon_single", None), config, "epsilon_fixed", 0.0)),
+        snr_db=float(_pick(getattr(args, "snr_db_fixed", None), config, "snr_db_fixed", 10.0)),
+        manifold_error=float(
+            _pick(getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default)
+        ),
         n_trials=int(_pick(args.trials, config, "trials", 3600)),
         grid_step_deg=float(_pick(args.grid_step, config, "grid_step", 1.0)),
         seed=int(_pick(args.seed, config, "seed", DEFAULT_SEED)),
@@ -104,22 +117,16 @@ def _trial_config(args, config: dict) -> TrialConfig:
     )
 
 
-def _summary_payload(cfg: TrialConfig, stats, accuracy: float) -> dict:
+def _config_payload(cfg: TrialConfig) -> dict:
+    """The run configuration as written into summary and sweep JSON."""
     return {
-        "schema_version": dio.SCHEMA_VERSION,
         "n_elements": cfg.n_elements,
         "snr_db": cfg.snr_db,
         "manifold_error": cfg.manifold_error,
-        "n_trials": stats.n,
+        "n_trials": cfg.n_trials,
         "grid_step_deg": cfg.grid_step_deg,
         "seed": cfg.seed,
         "threshold_deg": cfg.success_threshold_deg,
-        "accuracy": accuracy,
-        "mean_err": stats.mean,
-        "variance_err": stats.variance,
-        "std_err": stats.std,
-        "min_err": stats.min,
-        "max_err": stats.max,
     }
 
 
@@ -160,39 +167,39 @@ def cmd_manifold(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    args.snr_db_single = args.snr_db
-    args.epsilon_single = args.epsilon
     cfg = _trial_config(args, config)
     trials = run_batch(cfg)
-    stats = summarize([t.error_deg for t in trials], cfg.success_threshold_deg)
-    accuracy = float(np.mean([t.success for t in trials]))
+    stats = summarize(trials)
     dio.write_trials_csv(f"{args.out}_trials.csv", trials)
-    dio.write_json(f"{args.out}_summary.json", _summary_payload(cfg, stats, accuracy))
+    dio.write_json(
+        f"{args.out}_summary.json",
+        {
+            "schema_version": dio.SCHEMA_VERSION,
+            **_config_payload(cfg),
+            "accuracy": stats.accuracy,
+            "mean_err": stats.mean,
+            "variance_err": stats.variance,
+            "std_err": stats.std,
+            "min_err": stats.min,
+            "max_err": stats.max,
+        },
+    )
     print(
-        f"{stats.n} trials: accuracy={accuracy:.4f} "
+        f"{stats.n} trials: accuracy={stats.accuracy:.4f} "
         f"mean={stats.mean:+.4f} std={stats.std:.4f}"
     )
     return EXIT_OK
 
 
-def _run_sweep(args, key: str, runner, flag: str) -> int:
+def _run_sweep(args, key: str, runner, flag: str, epsilon_default: float = 0.0) -> int:
     config = _load_config(args.config) if args.config else {}
     values = _pick(getattr(args, key), config, key, None)
     if not values:
         raise UsageError(f"no sweep values given (use --{flag} or the config file)")
-    cfg = _trial_config(args, config)
+    cfg = _trial_config(args, config, epsilon_default)
     report = runner(cfg, list(values))
     dio.write_sweep_csv(f"{args.out}.csv", report)
-    meta = {
-        "n_elements": cfg.n_elements,
-        "snr_db": cfg.snr_db,
-        "manifold_error": cfg.manifold_error,
-        "trials_per_setting": cfg.n_trials,
-        "grid_step_deg": cfg.grid_step_deg,
-        "seed": cfg.seed,
-        "threshold_deg": cfg.success_threshold_deg,
-    }
-    dio.write_sweep_json(f"{args.out}.json", report, meta)
+    dio.write_sweep_json(f"{args.out}.json", report, _config_payload(cfg))
     for row in report.rows:
         print(
             f"{report.setting_name}={row.setting:g}: accuracy={row.accuracy:.4f} "
@@ -206,16 +213,15 @@ def cmd_sweep_snr(args) -> int:
 
 
 def cmd_sweep_error(args) -> int:
-    args.snr_db_single = args.snr_db
     return _run_sweep(args, "epsilon", run_manifold_error_sweep, "epsilon")
 
 
 def cmd_sweep_elements(args) -> int:
     # The published protocol for this sweep fixes the manifold error at
-    # 0.05 and the SNR at 10 dB; both stay overridable.
-    args.epsilon_single = 0.05 if args.epsilon is None else args.epsilon
-    args.snr_db_single = args.snr_db
-    return _run_sweep(args, "elements_list", run_element_sweep, "elements-list")
+    # 0.05; --epsilon and the epsilon_fixed config key override it.
+    return _run_sweep(
+        args, "elements_list", run_element_sweep, "elements-list", epsilon_default=0.05
+    )
 
 
 def cmd_estimate(args) -> int:
@@ -291,8 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one batch of Monte Carlo trials")
     _add_common(p)
-    p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="manifold error half width")
+    p.add_argument("--snr-db", dest="snr_db_fixed", type=float, default=None)
+    p.add_argument(
+        "--epsilon", dest="epsilon_fixed", type=float, default=None,
+        help="manifold error half width",
+    )
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_simulate)
 
@@ -305,15 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-error", help="accuracy versus manifold error")
     _add_common(p)
     p.add_argument("--epsilon", type=float, nargs="*", default=None)
-    p.add_argument("--snr-db", type=float, default=None, help="fixed SNR for the sweep")
+    p.add_argument(
+        "--snr-db", dest="snr_db_fixed", type=float, default=None, help="fixed SNR for the sweep"
+    )
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_sweep_error)
 
     p = sub.add_parser("sweep-elements", help="accuracy versus element count")
     _add_common(p)
     p.add_argument("--elements-list", dest="elements_list", type=int, nargs="*", default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="fixed manifold error")
-    p.add_argument("--snr-db", type=float, default=None, help="fixed SNR for the sweep")
+    p.add_argument(
+        "--epsilon", dest="epsilon_fixed", type=float, default=None, help="fixed manifold error"
+    )
+    p.add_argument(
+        "--snr-db", dest="snr_db_fixed", type=float, default=None, help="fixed SNR for the sweep"
+    )
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_sweep_elements)
 

@@ -110,13 +110,11 @@ def eig_sym(r) -> EigenPair:
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(mat)
     values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            vectors[:, j] = -col
-    return EigenPair(values=values, vectors=vectors)
+    vectors = vectors[:, ::-1]
+    # A unit column always has an entry above 1e-12, so argmax finds it.
+    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return EigenPair(values=values, vectors=vectors * signs)
 
 
 def noise_subspace(pair: EigenPair, n_sources: int = 1) -> np.ndarray:
@@ -124,40 +122,29 @@ def noise_subspace(pair: EigenPair, n_sources: int = 1) -> np.ndarray:
 
     With one source, these are columns 2..N of the sorted decomposition;
     the steering vector of the true direction is orthogonal to all of
-    them in the noiseless case.
+    them in the noiseless case. With ``n_sources == N`` (a single
+    element) the subspace is empty, shape (N, 0).
     """
     n = pair.values.size
-    if not 1 <= n_sources < n:
-        raise ValueError(f"n_sources must be in [1, {n - 1}], got {n_sources}")
+    if not 1 <= n_sources <= n:
+        raise ValueError(f"n_sources must be in [1, {n}], got {n_sources}")
     return pair.vectors[:, n_sources:]
 
 
-def spatial_spectrum(
-    noise_vectors: np.ndarray,
-    pattern: GaussianMixturePattern,
-    array: ArrayConfig,
-    grid_deg,
-    *,
-    manifold: np.ndarray | None = None,
-    normalized: bool = False,
-) -> SpatialSpectrum:
+def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray, grid_deg) -> SpatialSpectrum:
     """Spectrum P(theta) = 1 / ||En^T g(theta)||^2 over a grid.
 
-    The search always uses the nominal (unperturbed) manifold. Pass a
-    precomputed ``manifold`` matrix to skip rebuilding it per call.
-
-    ``normalized=True`` is a non-default variant that searches with
-    g(theta)/||g(theta)|| so the direction-dependent norm of the gain
-    vector does not weight the spectrum; the default keeps the raw gain
-    vectors.
+    ``manifold`` holds the nominal (unperturbed) steering vectors, one
+    column per grid angle. An empty noise subspace gives a flat spectrum
+    at 1 / floor.
     """
     grid = np.asarray(grid_deg, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("grid must not be empty")
-    if manifold is None:
-        manifold = manifold_matrix(pattern, array, grid)
-    if normalized:
-        manifold = manifold / np.linalg.norm(manifold, axis=0)
+    if manifold.shape[1] != grid.size:
+        raise ValueError(
+            f"manifold has {manifold.shape[1]} columns but the grid has {grid.size} angles"
+        )
     projection = noise_vectors.T @ manifold
     denom = np.maximum((projection**2).sum(axis=0), _SPECTRUM_FLOOR)
     return SpatialSpectrum(grid_deg=grid, values=1.0 / denom)
@@ -169,23 +156,22 @@ def estimate_doa(
     array: ArrayConfig,
     grid_deg=None,
     *,
-    n_sources: int = 1,
     manifold: np.ndarray | None = None,
-    normalized: bool = False,
 ) -> DoaEstimate:
     """Full pipeline: covariance, eigendecomposition, spectrum, argmax.
 
     ``x`` is the (N, T) snapshot matrix with rows in element order. The
-    default grid is 1 degree over [0, 360). The peak value is invariant
-    in location under positive scaling of x.
+    default grid is 1 degree over [0, 360). Pass a precomputed
+    ``manifold`` for ``grid_deg`` to skip rebuilding it per call. The
+    peak location is invariant under positive scaling of x. With one
+    element the spectrum is flat and the estimate is the first grid
+    angle: it carries no information, by design.
     """
     grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float)
-    cov = sample_covariance(x)
-    pair = eig_sym(cov)
-    noise_vectors = noise_subspace(pair, n_sources)
-    spectrum = spatial_spectrum(
-        noise_vectors, pattern, array, grid, manifold=manifold, normalized=normalized
-    )
+    if manifold is None:
+        manifold = manifold_matrix(pattern, array, grid)
+    noise_vectors = noise_subspace(eig_sym(sample_covariance(x)))
+    spectrum = spatial_spectrum(noise_vectors, manifold, grid)
     peak = int(np.argmax(spectrum.values))  # argmax takes the first (smallest) angle on ties
     return DoaEstimate(
         angle_deg=float(spectrum.grid_deg[peak]),

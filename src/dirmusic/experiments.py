@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import (
-    DoaEstimate,
-    angular_error,
-    default_grid,
-    estimate_doa,
-    sample_covariance,
-    spatial_spectrum,
-)
+from .estimator import angular_error, default_grid, estimate_doa
 from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
 from .signal import (
@@ -82,6 +75,9 @@ class TrialConfig:
     inclusive_success: bool = False
 
     def __post_init__(self):
+        for name in ("snr_db", "manifold_error", "success_threshold_deg"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.success_threshold_deg <= 0.0:
@@ -90,16 +86,15 @@ class TrialConfig:
             )
         if self.manifold_error < 0.0:
             raise ValueError(f"manifold_error must be >= 0, got {self.manifold_error}")
+        n_offsets = self.array().n_elements  # also validates the layout
+        if n_offsets != self.n_elements:
+            raise ValueError(
+                f"offsets_deg has {n_offsets} entries but n_elements is {self.n_elements}"
+            )
 
     def array(self) -> ArrayConfig:
         if self.offsets_deg is not None:
-            cfg = ArrayConfig(self.offsets_deg)
-            if cfg.n_elements != self.n_elements:
-                raise ValueError(
-                    f"offsets_deg has {cfg.n_elements} entries but "
-                    f"n_elements is {self.n_elements}"
-                )
-            return cfg
+            return ArrayConfig(self.offsets_deg)
         return ArrayConfig.uniform(self.n_elements)
 
 
@@ -147,25 +142,6 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _estimate(x, cfg: TrialConfig, grid: np.ndarray, manifold: np.ndarray) -> DoaEstimate:
-    """Direction estimate, tolerating the degenerate single-element case.
-
-    With one element there are no noise eigenvectors, the spectrum
-    degenerates to a flat floor, and the tie-break returns the first
-    grid angle: the estimate carries no information, by design.
-    """
-    array = cfg.array()
-    if cfg.n_elements == 1:
-        sample_covariance(x)  # keep input validation in the degenerate path
-        flat = spatial_spectrum(
-            np.zeros((1, 0)), cfg.pattern, array, grid, manifold=manifold
-        )
-        return DoaEstimate(
-            angle_deg=float(grid[0]), peak_value=float(flat.values[0]), spectrum=flat
-        )
-    return estimate_doa(x, cfg.pattern, array, grid, manifold=manifold)
-
-
 def run_trial(
     cfg: TrialConfig,
     theta_true_deg: float,
@@ -192,7 +168,7 @@ def run_trial(
         gains = perturb(gains, cfg.manifold_error, rng)
     snapshots = add_awgn(synthesize_clean(gains, pulse_samples), cfg.snr_db, rng)
 
-    estimate = _estimate(snapshots, cfg, grid, manifold)
+    estimate = estimate_doa(snapshots, cfg.pattern, array, grid, manifold=manifold)
     error = angular_error(estimate.angle_deg, theta_true_deg)
     if cfg.inclusive_success:
         success = abs(error) <= cfg.success_threshold_deg
@@ -230,14 +206,18 @@ def run_batch(cfg: TrialConfig) -> list[TrialReport]:
     return reports
 
 
-def summarize(errors, threshold_deg: float = 2.0) -> SummaryStats:
-    """Aggregate statistics of a list of signed errors in degrees."""
-    err = np.asarray(errors, dtype=float)
-    if err.size == 0:
-        raise ValueError("cannot summarize an empty error list")
+def summarize(trials) -> SummaryStats:
+    """Aggregate statistics of a list of :class:`TrialReport`.
+
+    Accuracy is the mean of the per-trial success flags, so it honors
+    the configured success comparison.
+    """
+    if len(trials) == 0:
+        raise ValueError("cannot summarize an empty trial list")
+    err = np.array([t.error_deg for t in trials], dtype=float)
     return SummaryStats(
         n=int(err.size),
-        accuracy=float(np.mean(np.abs(err) < threshold_deg)),
+        accuracy=float(np.mean([t.success for t in trials])),
         mean=float(err.mean()),
         variance=float(err.var()),
         std=float(err.std()),
@@ -249,14 +229,11 @@ def summarize(errors, threshold_deg: float = 2.0) -> SummaryStats:
 def _sweep(cfg: TrialConfig, name: str, settings, make_cfg) -> SweepReport:
     rows = []
     for value in settings:
-        batch = run_batch(make_cfg(cfg, value))
-        stats = summarize([t.error_deg for t in batch], cfg.success_threshold_deg)
+        stats = summarize(run_batch(make_cfg(cfg, value)))
         rows.append(
             SweepRow(
                 setting=float(value),
-                # accuracy is the mean of the per-trial success flags, so
-                # it honors the configured success comparison
-                accuracy=float(np.mean([t.success for t in batch])),
+                accuracy=stats.accuracy,
                 mean_err=stats.mean,
                 std_err=stats.std,
                 min_err=stats.min,

@@ -229,7 +229,6 @@ def process_recording(
     k_sigma: float = 5.0,
     pre_margin_s: float = 5e-9,
     post_margin_s: float = 20e-9,
-    normalized: bool = False,
 ) -> PipelineResult:
     """Bandpass, intercept the pulse, normalize, estimate the direction.
 
@@ -247,7 +246,7 @@ def process_recording(
         filtered, k_sigma, pre_margin_s=pre_margin_s, post_margin_s=post_margin_s
     )
     snapshots = normalize_bipolar(filtered.channels[:, window.start : window.stop])
-    estimate = estimate_doa(snapshots, pattern, array, grid_deg, normalized=normalized)
+    estimate = estimate_doa(snapshots, pattern, array, grid_deg)
     return PipelineResult(
         estimate=estimate,
         window=window,

@@ -109,6 +109,42 @@ class TestSweeps:
         code = main(["sweep-snr", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == EXIT_PARSE
 
+    def test_unknown_config_key_is_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": 1, "elments": 4, "snr_db": [10.0]}))
+        code = main(["sweep-snr", "--config", str(config), "--trials", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_PARSE
+        assert "elments" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--snr-db", "snr_db"),
+            ("--epsilon", "manifold_error"),
+            ("--threshold-deg", "success_threshold_deg"),
+        ],
+    )
+    def test_non_finite_value_is_parse_error_naming_field(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "run"
+        code = main(["simulate", "--trials", "2", flag, "nan", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.json").exists()
+
+    def test_element_sweep_fixed_epsilon_precedence(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": 1, "epsilon_fixed": 0.1}))
+        base = ["sweep-elements", "--config", str(config), "--elements-list", "2", "--trials", "2"]
+        assert main(base + ["--out", str(tmp_path / "cfg")]) == EXIT_OK
+        meta = json.loads((tmp_path / "cfg.json").read_text())["config"]
+        assert meta["manifold_error"] == 0.1
+        assert meta["n_trials"] == 2
+        assert main(base + ["--epsilon", "0.07", "--out", str(tmp_path / "flag")]) == EXIT_OK
+        meta = json.loads((tmp_path / "flag.json").read_text())["config"]
+        assert meta["manifold_error"] == 0.07
+
     def test_element_sweep_runs(self, tmp_path):
         code = main(
             ["sweep-elements", "--elements-list", "2", "4", "--trials", "6",

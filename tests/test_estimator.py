@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dirmusic.estimator import (
@@ -15,7 +15,7 @@ from dirmusic.estimator import (
     sample_covariance,
     spatial_spectrum,
 )
-from dirmusic.manifold import ArrayConfig, steering_vector
+from dirmusic.manifold import ArrayConfig, manifold_matrix, steering_vector
 from dirmusic.pattern import DEFAULT_PATTERN
 from dirmusic.signal import SamplingSpec, add_awgn, pd_pulse, synthesize_clean
 
@@ -114,6 +114,7 @@ class TestNoiseSubspace:
     def test_dimensions(self):
         pair = eig_sym(np.eye(6))
         assert noise_subspace(pair, 1).shape == (6, 5)
+        assert noise_subspace(pair, 6).shape == (6, 0)
 
     def test_orthogonal_to_true_gain_vector_noiseless(self):
         for theta in (0.0, 45.0, 213.0):
@@ -130,32 +131,33 @@ class TestNoiseSubspace:
     def test_rejects_too_many_sources(self):
         pair = eig_sym(np.eye(4))
         with pytest.raises(ValueError):
-            noise_subspace(pair, 4)
+            noise_subspace(pair, 5)
         with pytest.raises(ValueError):
             noise_subspace(pair, 0)
 
 
 class TestSpatialSpectrum:
+    GRID = default_grid()
+    MANIFOLD = manifold_matrix(DEFAULT_PATTERN, ARRAY6, GRID)
+
     def test_positive_and_finite_on_degree_grid(self):
         pair = eig_sym(sample_covariance(_clean_snapshots(100.0)))
-        spec = spatial_spectrum(
-            noise_subspace(pair, 1), DEFAULT_PATTERN, ARRAY6, default_grid()
-        )
+        spec = spatial_spectrum(noise_subspace(pair, 1), self.MANIFOLD, self.GRID)
         assert np.all(np.isfinite(spec.values))
         assert np.all(spec.values > 0.0)
 
     def test_noiseless_argmax_at_truth(self):
         theta = 73.0
         pair = eig_sym(sample_covariance(_clean_snapshots(theta)))
-        spec = spatial_spectrum(
-            noise_subspace(pair, 1), DEFAULT_PATTERN, ARRAY6, default_grid()
-        )
+        spec = spatial_spectrum(noise_subspace(pair, 1), self.MANIFOLD, self.GRID)
         assert spec.grid_deg[np.argmax(spec.values)] == theta
 
     def test_empty_grid_rejected(self):
         pair = eig_sym(np.eye(6))
         with pytest.raises(ValueError):
-            spatial_spectrum(noise_subspace(pair, 1), DEFAULT_PATTERN, ARRAY6, [])
+            spatial_spectrum(noise_subspace(pair, 1), np.zeros((6, 0)), [])
+        with pytest.raises(ValueError):
+            spatial_spectrum(noise_subspace(pair, 1), self.MANIFOLD, self.GRID[:-1])
 
 
 class TestEstimateDoa:
@@ -178,10 +180,6 @@ class TestEstimateDoa:
         est = estimate_doa(np.roll(x, 1, axis=0), DEFAULT_PATTERN, ARRAY6)
         assert est.angle_deg == (theta - 60.0) % 360.0
 
-    def test_normalized_variant_noiseless(self):
-        est = estimate_doa(_clean_snapshots(301.0), DEFAULT_PATTERN, ARRAY6, normalized=True)
-        assert est.angle_deg == 301.0
-
     def test_estimate_lies_on_grid_and_attaches_spectrum(self):
         grid = default_grid(0.5)
         rng = np.random.default_rng(2)
@@ -190,6 +188,40 @@ class TestEstimateDoa:
         assert est.angle_deg in grid
         assert est.spectrum.values.size == grid.size
         assert est.peak_value == pytest.approx(est.spectrum.values.max())
+
+
+# Noisy single-source data for every uniform N whose spacing 360/N is a
+# whole number of 1-degree grid steps, N = 1 included.
+NOISY_CASE = dict(
+    n=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10]),
+    theta=st.integers(0, 359),
+    snr_db=st.integers(-5, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _noisy(n, theta, snr_db, seed):
+    clean = _clean_snapshots(float(theta), ArrayConfig.uniform(n))
+    return add_awgn(clean, snr_db, np.random.default_rng(seed))
+
+
+class TestEstimatorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(**NOISY_CASE)
+    def test_row_roll_moves_estimate_by_one_spacing(self, n, theta, snr_db, seed):
+        array = ArrayConfig.uniform(n)
+        x = _noisy(n, theta, snr_db, seed)
+        base = estimate_doa(x, DEFAULT_PATTERN, array).angle_deg
+        moved = estimate_doa(np.roll(x, 1, axis=0), DEFAULT_PATTERN, array).angle_deg
+        assert moved == (base - 360.0 / n) % 360.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), **NOISY_CASE)
+    def test_positive_scaling_keeps_estimate(self, n, theta, snr_db, seed, c):
+        array = ArrayConfig.uniform(n)
+        x = _noisy(n, theta, snr_db, seed)
+        base = estimate_doa(x, DEFAULT_PATTERN, array).angle_deg
+        assert estimate_doa(c * x, DEFAULT_PATTERN, array).angle_deg == base
 
 
 class TestAngularError:

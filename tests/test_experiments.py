@@ -7,6 +7,7 @@ import pytest
 
 from dirmusic.experiments import (
     TrialConfig,
+    TrialReport,
     run_batch,
     run_element_sweep,
     run_manifold_error_sweep,
@@ -19,6 +20,13 @@ from dirmusic.signal import SamplingSpec
 # Short records keep unit tests quick; the acceptance suite runs the
 # full-length defaults.
 FAST = TrialConfig(n_trials=48, sampling=SamplingSpec(rate_hz=10e9, n_samples=512))
+
+
+def _reports(errors, successes):
+    return [
+        TrialReport(theta_true_deg=10.0, theta_hat_deg=10.0 + e, error_deg=e, success=ok)
+        for e, ok in zip(errors, successes)
+    ]
 
 
 class TestRunTrial:
@@ -70,22 +78,31 @@ class TestRunBatch:
 
 class TestSummarize:
     def test_all_zero_errors(self):
-        stats = summarize([0.0, 0.0, 0.0])
+        stats = summarize(_reports([0.0, 0.0, 0.0], [True, True, True]))
         assert stats.mean == 0.0
         assert stats.variance == 0.0
         assert stats.accuracy == 1.0
 
     def test_population_variance_convention(self):
-        stats = summarize([-2.0, 2.0])
+        stats = summarize(_reports([-2.0, 2.0], [False, False]))
         assert stats.mean == 0.0
         assert stats.variance == pytest.approx(4.0)
         assert stats.std == pytest.approx(2.0)
-        assert stats.accuracy == 0.0  # |err| = 2 is not < 2
 
     def test_min_max_and_count(self):
-        stats = summarize([-3.0, 0.5, 1.0], threshold_deg=2.0)
+        stats = summarize(_reports([-3.0, 0.5, 1.0], [False, True, True]))
         assert (stats.min, stats.max, stats.n) == (-3.0, 1.0, 3)
         assert stats.accuracy == pytest.approx(2.0 / 3.0)
+
+    def test_accuracy_follows_success_flags(self):
+        # under the inclusive comparison |err| == threshold is a success;
+        # the summary must count the flags, not re-apply a comparison
+        cfg = dataclasses.replace(
+            FAST, n_trials=64, snr_db=-10.0, integer_directions=True, inclusive_success=True
+        )
+        trials = run_batch(cfg)
+        assert any(abs(t.error_deg) == cfg.success_threshold_deg for t in trials)
+        assert summarize(trials).accuracy == np.mean([t.success for t in trials])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -134,11 +151,25 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(manifold_error=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", float("nan")),
+            ("snr_db", float("-inf")),
+            ("manifold_error", float("nan")),
+            ("success_threshold_deg", float("nan")),
+            ("n_elements", 0),
+        ],
+    )
+    def test_invalid_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**{field: value})
+
     def test_explicit_offsets_override_uniform(self):
         cfg = TrialConfig(n_elements=4, offsets_deg=(0.0, 60.0, 120.0, 180.0))
         assert cfg.array().offsets_deg == (0.0, 60.0, 120.0, 180.0)
 
     def test_offsets_must_match_element_count(self):
-        cfg = TrialConfig(n_elements=6, offsets_deg=(0.0, 60.0))
-        with pytest.raises(ValueError):
-            cfg.array()
+        # rejected at construction, not when the array is first built
+        with pytest.raises(ValueError, match="offsets_deg"):
+            TrialConfig(n_elements=6, offsets_deg=(0.0, 60.0))

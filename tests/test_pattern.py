@@ -152,14 +152,14 @@ class TestFitPattern:
         rmse = np.sqrt(np.mean((fitted - clean) ** 2))
         assert rmse <= 0.02 * clean.max()
 
-    def test_objective_trace_non_increasing(self):
+    def test_reported_residual_is_objective_of_fitted_pattern(self):
         rng = np.random.default_rng(3)
         angles = np.arange(0.0, 360.0, 2.0)
         gains = eval_pattern(DEFAULT_PATTERN, angles) + rng.uniform(-0.01, 0.01, angles.size)
         fit = fit_pattern(angles, gains, 3)
-        trace = np.asarray(fit.residual_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-        assert fit.residual == pytest.approx(trace[-1])
+        resid = eval_pattern(fit.pattern, angles) - gains
+        assert fit.converged
+        assert fit.residual == pytest.approx(float(resid @ resid), rel=1e-12)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -176,4 +176,5 @@ class TestFitPattern:
         gains = eval_pattern(DEFAULT_PATTERN, angles) + rng.uniform(-0.05, 0.05, angles.size)
         fit = fit_pattern(angles, gains, 3, max_iter=1)
         assert not fit.converged
-        assert fit.residual <= fit.residual_trace[0]
+        assert fit.n_iter == 1
+        assert fit.residual >= fit_pattern(angles, gains, 3).residual
