@@ -15,6 +15,7 @@ import csv
 import io as _stdio
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,7 +94,11 @@ def _load_pattern(source: str):
     return dio.read_pattern_csv(source)
 
 
-def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConfig:
+def _layout_config(args, config: dict) -> TrialConfig:
+    """Array layout, search grid and pattern; every other field keeps its default.
+
+    This is all that ``manifold`` and ``estimate``, which run no trials, read.
+    """
     offsets = _pick(args.offsets, config, "offsets", None)
     if isinstance(offsets, str):
         offsets = _parse_offsets(offsets)
@@ -104,16 +109,22 @@ def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConf
         n_elements = len(offsets)
     return TrialConfig(
         n_elements=n_elements,
+        grid_step_deg=float(_pick(args.grid_step, config, "grid_step", 1.0)),
+        offsets_deg=offsets,
+        pattern=_load_pattern(args.pattern),
+    )
+
+
+def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConfig:
+    return replace(
+        _layout_config(args, config),
         snr_db=float(_pick(getattr(args, "snr_db_fixed", None), config, "snr_db_fixed", 10.0)),
         manifold_error=float(
             _pick(getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default)
         ),
         n_trials=int(_pick(args.trials, config, "trials", 3600)),
-        grid_step_deg=float(_pick(args.grid_step, config, "grid_step", 1.0)),
         seed=int(_pick(args.seed, config, "seed", DEFAULT_SEED)),
         success_threshold_deg=float(_pick(args.threshold_deg, config, "threshold", 2.0)),
-        offsets_deg=offsets,
-        pattern=_load_pattern(args.pattern),
     )
 
 
@@ -149,7 +160,7 @@ def cmd_fit_pattern(args) -> int:
 
 def cmd_manifold(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    cfg = _trial_config(args, config)
+    cfg = _layout_config(args, config)
     array = cfg.array()
     grid = default_grid(cfg.grid_step_deg)
     matrix = manifold_matrix(cfg.pattern, array, grid)
@@ -199,7 +210,9 @@ def _run_sweep(args, key: str, runner, flag: str, epsilon_default: float = 0.0) 
     cfg = _trial_config(args, config, epsilon_default)
     report = runner(cfg, list(values))
     dio.write_sweep_csv(f"{args.out}.csv", report)
-    dio.write_sweep_json(f"{args.out}.json", report, _config_payload(cfg))
+    # The swept field is set per row, so the base value would mislead.
+    meta = {k: v for k, v in _config_payload(cfg).items() if k != report.setting_name}
+    dio.write_sweep_json(f"{args.out}.json", report, meta)
     for row in report.rows:
         print(
             f"{report.setting_name}={row.setting:g}: accuracy={row.accuracy:.4f} "
@@ -226,7 +239,7 @@ def cmd_sweep_elements(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    cfg = _trial_config(args, config)
+    cfg = _layout_config(args, config)
     rec = dio.read_waveform_csv(args.recording)
     if rec.n_channels != cfg.array().n_elements:
         raise ValueError(
@@ -264,17 +277,21 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_layout_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--grid-step", type=float, default=None, help="search grid step, degrees")
     parser.add_argument("--elements", type=int, default=None, help="element count (uniform layout)")
     parser.add_argument("--offsets", default=None, help="explicit offsets, comma separated degrees")
-    parser.add_argument("--trials", type=int, default=None, help="trials per setting")
-    parser.add_argument("--threshold-deg", type=float, default=None, help="success threshold, degrees")
     parser.add_argument(
         "--pattern", default="builtin", help="'builtin' or path to a pattern CSV"
     )
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
+    _add_layout_flags(parser)
+    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    parser.add_argument("--trials", type=int, default=None, help="trials per setting")
+    parser.add_argument("--threshold-deg", type=float, default=None, help="success threshold, degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_pattern)
 
     p = sub.add_parser("manifold", help="dump steering vectors over the search grid")
-    _add_common(p)
+    _add_layout_flags(p)
     p.add_argument("--out", default=None, help="output CSV (stdout when omitted)")
     p.set_defaults(func=cmd_manifold)
 
     p = sub.add_parser("simulate", help="run one batch of Monte Carlo trials")
-    _add_common(p)
+    _add_trial_flags(p)
     p.add_argument("--snr-db", dest="snr_db_fixed", type=float, default=None)
     p.add_argument(
         "--epsilon", dest="epsilon_fixed", type=float, default=None,
@@ -306,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep-snr", help="accuracy versus SNR")
-    _add_common(p)
+    _add_trial_flags(p)
     p.add_argument("--snr-db", dest="snr_db", type=float, nargs="*", default=None)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_sweep_snr)
 
     p = sub.add_parser("sweep-error", help="accuracy versus manifold error")
-    _add_common(p)
+    _add_trial_flags(p)
     p.add_argument("--epsilon", type=float, nargs="*", default=None)
     p.add_argument(
         "--snr-db", dest="snr_db_fixed", type=float, default=None, help="fixed SNR for the sweep"
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_error)
 
     p = sub.add_parser("sweep-elements", help="accuracy versus element count")
-    _add_common(p)
+    _add_trial_flags(p)
     p.add_argument("--elements-list", dest="elements_list", type=int, nargs="*", default=None)
     p.add_argument(
         "--epsilon", dest="epsilon_fixed", type=float, default=None, help="fixed manifold error"
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_elements)
 
     p = sub.add_parser("estimate", help="process a recorded waveform CSV")
-    _add_common(p)
+    _add_layout_flags(p)
     p.add_argument("recording", help="waveform CSV (time_s,ch1..chN)")
     p.add_argument("--band-low-hz", type=float, default=None)
     p.add_argument("--band-high-hz", type=float, default=None)

@@ -11,6 +11,7 @@ import io as _stdio
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,23 +120,49 @@ def read_pattern_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_waveform_csv(path, rec: Recording) -> None:
     """Waveform CSV: time_s,ch1..chN with a uniform time step 1/rate."""
-    n = rec.n_channels
     buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["time_s"] + [f"ch{i + 1}" for i in range(n)])
+    csv.writer(buf).writerow(["time_s"] + [f"ch{i + 1}" for i in range(rec.n_channels)])
     times = np.arange(rec.n_samples) / rec.rate_hz
-    for j, t in enumerate(times):
-        writer.writerow([f"{t:.12e}"] + [f"{v:.12e}" for v in rec.channels[:, j]])
+    # "\r\n" ends every line, as csv.writer ends the header.
+    np.savetxt(
+        buf, np.column_stack([times, rec.channels.T]), fmt="%.12e", delimiter=",", newline="\r\n"
+    )
     _atomic_write_text(path, buf.getvalue())
 
 
-def read_waveform_csv(path) -> Recording:
-    """Parse a waveform CSV; the sample rate is inferred from the time column."""
+def _bad_row_error(path, n_fields: int) -> ValueError:
+    """Name the first malformed row of a waveform body np.loadtxt rejected."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty waveform file")
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != n_fields:
+                return ValueError(
+                    f"{path}: row {reader.line_num} has {len(row)} fields, expected {n_fields}"
+                )
+            for cell in row:
+                try:
+                    float(cell)
+                except ValueError:
+                    return ValueError(
+                        f"{path}: row {reader.line_num} has a non-numeric cell {cell!r}"
+                    )
+    return ValueError(f"{path}: unreadable waveform data")
+
+
+def read_waveform_csv(path) -> Recording:
+    """Parse a waveform CSV; the sample rate is inferred from the time column.
+
+    The header is read with ``csv``; the body, one row of ``time_s`` and
+    the channel values per line, is parsed by ``np.loadtxt``. Blank
+    lines are skipped.
+    """
+    with open(path, newline="") as handle:
+        header = next(csv.reader(handle), None)
+        if not header:
+            raise ValueError(f"{path}: empty waveform file or blank header line")
         header = [c.strip() for c in header]
         if header[0] != "time_s":
             raise ValueError(f"{path}: first column must be 'time_s', got {header[0]!r}")
@@ -147,19 +174,18 @@ def read_waveform_csv(path) -> Recording:
         n_channels = len(header) - 1
         if n_channels < 1:
             raise ValueError(f"{path}: no channel columns")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n_channels + 1:
-                raise ValueError(
-                    f"{path}: row {len(rows) + 2} has {len(row)} fields, "
-                    f"expected {n_channels + 1}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty body, rejected below
+                data = np.loadtxt(
+                    handle, delimiter=",", ndmin=2, comments=None, quotechar='"'
                 )
-            rows.append([float(cell) for cell in row])
-    if len(rows) < 2:
+        except ValueError:
+            raise _bad_row_error(path, n_channels + 1) from None
+    if data.size and data.shape[1] != n_channels + 1:
+        raise _bad_row_error(path, n_channels + 1)
+    if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    data = np.asarray(rows)
     times = data[:, 0]
     steps = np.diff(times)
     if np.any(steps <= 0.0):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "GaussianComponent",
@@ -237,6 +236,8 @@ def fit_pattern(
         raise ValueError("sample angles must be distinct after wrapping")
     if not np.all(np.isfinite(y)):
         raise ValueError("gains must be finite")
+    # Imported here so that the rest of the package loads without scipy.
+    from scipy.optimize import least_squares
 
     lower = np.tile([0.0, 0.0, _MIN_WIDTH_DEG], n_components)
     upper = np.tile([np.inf, _MAX_CENTER_DEG, np.inf], n_components)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import firwin
 
 from .estimator import DoaEstimate, estimate_doa
 from .manifold import ArrayConfig
@@ -104,18 +103,19 @@ class FilterSpec:
             raise ValueError(f"n_taps must be odd and >= 11, got {self.n_taps}")
 
     def kernel(self, rate_hz: float) -> np.ndarray:
-        """FIR taps for the given sample rate (Hamming windowed sinc)."""
-        if self.high_hz >= rate_hz / 2.0:
-            raise ValueError(
-                f"high_hz={self.high_hz} must be below Nyquist ({rate_hz / 2.0})"
-            )
-        return firwin(
-            self.n_taps,
-            [self.low_hz, self.high_hz],
-            pass_zero=False,
-            window="hamming",
-            fs=rate_hz,
-        )
+        """FIR taps for the given sample rate (Hamming windowed sinc).
+
+        The taps are scaled to unit gain at the band centre, the same
+        design as ``scipy.signal.firwin(n_taps, [low_hz, high_hz],
+        pass_zero=False, window="hamming", fs=rate_hz)``.
+        """
+        nyquist = rate_hz / 2.0
+        if self.high_hz >= nyquist:
+            raise ValueError(f"high_hz={self.high_hz} must be below Nyquist ({nyquist})")
+        low, high = self.low_hz / nyquist, self.high_hz / nyquist
+        m = np.arange(self.n_taps) - (self.n_taps - 1) / 2.0
+        taps = (high * np.sinc(high * m) - low * np.sinc(low * m)) * np.hamming(self.n_taps)
+        return taps / np.sum(taps * np.cos(np.pi * m * (low + high) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,34 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     Output length equals input length: the convolution treats samples
     beyond the record edges as zero, and taking the central part of the
     full convolution compensates the group delay, so channels stay time
-    aligned.
+    aligned. The result equals ``np.convolve(channel, kernel, "same")``
+    per channel, to rounding.
+
+    All channels are filtered at once by overlap-add FFT convolution
+    (Stockham 1966): each channel is cut into blocks of ``step`` samples,
+    every block is convolved with the kernel by one real FFT of length
+    ``n_fft``, and the ``n_taps - 1`` samples each block spills past its
+    end are added onto the start of the next block. The floor of 1024
+    on ``n_fft`` keeps short kernels from paying for many tiny FFTs.
     """
-    if rec.n_samples < spec.n_taps:
-        raise ValueError(
-            f"record length {rec.n_samples} is shorter than the kernel ({spec.n_taps})"
-        )
+    n_taps = spec.n_taps
+    n_channels, n_samples = rec.channels.shape
+    if n_samples < n_taps:
+        raise ValueError(f"record length {n_samples} is shorter than the kernel ({n_taps})")
     kernel = spec.kernel(rec.rate_hz)
-    filtered = np.array([np.convolve(ch, kernel, mode="same") for ch in rec.channels])
+    delay = (n_taps - 1) // 2
+    n_fft = 1 << (max(1024, 4 * n_taps) - 1).bit_length()
+    step = n_fft - n_taps + 1
+    # Enough blocks that the delayed output ends inside them, so the
+    # spill of the last block is never needed.
+    n_blocks = -(-(n_samples + delay) // step)
+    padded = np.zeros((n_channels, n_blocks * step))
+    padded[:, :n_samples] = rec.channels
+    spectra = np.fft.rfft(padded.reshape(n_channels, n_blocks, step), n_fft)
+    spectra *= np.fft.rfft(kernel, n_fft)
+    blocks = np.fft.irfft(spectra, n_fft)
+    blocks[:, 1:, : n_taps - 1] += blocks[:, :-1, step:]
+    filtered = blocks[:, :, :step].reshape(n_channels, -1)[:, delay : delay + n_samples]
     return replace(rec, channels=filtered)
 
 

@@ -1,10 +1,14 @@
 """End-to-end tests of the command line interface (exit codes and files)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirmusic
 from dirmusic import io as dio
 from dirmusic.cli import EXIT_IO, EXIT_NO_PULSE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from dirmusic.manifold import ArrayConfig, steering_vector
@@ -59,6 +63,29 @@ class TestManifoldDump:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "angle_deg,g1,g2,g3,g4,g5,g6"
         assert len(lines) == 5  # header + 4 grid angles
+
+    def test_ignores_trial_config_keys(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": 1, "trials": 0, "threshold": -1.0}))
+        out = tmp_path / "manifold.csv"
+        code = main(["manifold", "--config", str(config), "--grid-step", "90", "--out", str(out)])
+        assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["manifold"], ["estimate", "wave.csv"]])
+@pytest.mark.parametrize("flag", ["--trials", "--seed", "--threshold-deg"])
+def test_trial_flags_rejected_where_no_trial_runs(command, flag):
+    assert main(command + [flag, "1"]) == EXIT_USAGE
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(dirmusic.__file__).parent.parent)
+    probe = "import sys, dirmusic.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -144,6 +171,21 @@ class TestSweeps:
         assert main(base + ["--epsilon", "0.07", "--out", str(tmp_path / "flag")]) == EXIT_OK
         meta = json.loads((tmp_path / "flag.json").read_text())["config"]
         assert meta["manifold_error"] == 0.07
+
+    @pytest.mark.parametrize(
+        "argv, swept, settings",
+        [
+            (["sweep-elements", "--elements-list", "2", "4"], "n_elements", [2, 4]),
+            (["sweep-snr", "--snr-db", "10", "0"], "snr_db", [10.0, 0.0]),
+            (["sweep-error", "--epsilon", "0.05"], "manifold_error", [0.05]),
+        ],
+    )
+    def test_sweep_config_omits_swept_field(self, tmp_path, argv, swept, settings):
+        assert main(argv + ["--trials", "2", "--out", str(tmp_path / "s")]) == EXIT_OK
+        payload = json.loads((tmp_path / "s.json").read_text())
+        assert swept not in payload["config"]
+        assert payload["config"]["n_trials"] == 2
+        assert [row["setting"] for row in payload["rows"]] == settings
 
     def test_element_sweep_runs(self, tmp_path):
         code = main(

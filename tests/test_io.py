@@ -1,5 +1,8 @@
 """Round-trip and format-validation tests for the file formats."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,6 +83,49 @@ class TestWaveformFiles:
         path.write_text("time_s,ch1,ch2\n0.0,1.0,2.0\n1e-10,1.0\n")
         with pytest.raises(ValueError, match="fields"):
             dio.read_waveform_csv(path)
+
+    def test_rows_narrower_than_header_rejected(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1,ch2\n0.0,1.0\n1e-10,1.0\n")
+        with pytest.raises(ValueError, match="row 2 has 2 fields, expected 3"):
+            dio.read_waveform_csv(path)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1,ch2\n0.0,1.0,2.0\n1e-10,volts,2.0\n")
+        with pytest.raises(ValueError, match="row 3 has a non-numeric cell 'volts'"):
+            dio.read_waveform_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1\n0.0,1.0\n\n1e-10,2.0\n\n2e-10,3.0\n\n")
+        rec = dio.read_waveform_csv(path)
+        assert_allclose(rec.channels, [[1.0, 2.0, 3.0]])
+        assert rec.rate_hz == pytest.approx(1e10)
+
+    def test_single_data_row_rejected(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1,ch2\n0.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            dio.read_waveform_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1\n")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            dio.read_waveform_csv(path)
+
+    def test_writer_matches_csv_module_bytes(self, tmp_path):
+        rng = np.random.default_rng(1)
+        rec = Recording(rate_hz=10e9, channels=rng.normal(size=(3, 50)) * 1e-3)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["time_s", "ch1", "ch2", "ch3"])
+        for j in range(rec.n_samples):
+            writer.writerow([f"{j / rec.rate_hz:.12e}"] + [f"{v:.12e}" for v in rec.channels[:, j]])
+        path = tmp_path / "wave.csv"
+        dio.write_waveform_csv(path, rec)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestReportFiles:

@@ -80,6 +80,15 @@ class TestFilterSpec:
         kernel = SHARP_FILTER.kernel(RATE)
         assert _freq_response(kernel, 948e6) <= 10 ** (-20 / 20)
 
+    @pytest.mark.parametrize("n_taps", [11, 101, 1001])
+    def test_matches_scipy_firwin(self, n_taps):
+        firwin = pytest.importorskip("scipy.signal").firwin
+        for low, high in ((1.0e9, 2.0e9), (0.3e9, 0.9e9), (2.0e9, 4.5e9)):
+            for rate in (RATE, 12.5e9):
+                expected = firwin(n_taps, [low, high], pass_zero=False, window="hamming", fs=rate)
+                kernel = FilterSpec(low, high, n_taps).kernel(rate)
+                assert_allclose(kernel, expected, rtol=0.0, atol=1e-15)
+
 
 class TestBandpass:
     def test_zero_in_zero_out(self):
@@ -116,6 +125,25 @@ class TestBandpass:
         out = bandpass(Recording(RATE, tone[None, :]), SHARP_FILTER).channels[0]
         mid = slice(1100, -1100)
         assert np.max(np.abs(out[mid])) <= 0.1
+
+    # Lengths: the kernel itself, lengths that are no multiple of the
+    # overlap-add block step (924 samples at 101 taps, 3096 at 1001),
+    # exact multiples of it, and lengths whose delay-shifted end lands
+    # exactly on a block edge.
+    @pytest.mark.parametrize(
+        "n_taps, n_samples",
+        [(n, length) for n in (11, 101, 1001) for length in (n, 4096, 200_003)]
+        + [(101, 1848), (101, 1798), (1001, 6192), (1001, 5692), (1001, 5693)],
+    )
+    def test_matches_direct_convolution(self, n_taps, n_samples):
+        rng = np.random.default_rng(n_samples)
+        rec = Recording(RATE, rng.normal(size=(2, n_samples)))
+        spec = FilterSpec(n_taps=n_taps)
+        kernel = spec.kernel(RATE)
+        expected = np.array([np.convolve(ch, kernel, mode="same") for ch in rec.channels])
+        out = bandpass(rec, spec).channels
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_record_shorter_than_kernel_rejected(self):
         rec = Recording(RATE, np.zeros((1, 64)))
