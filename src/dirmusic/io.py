@@ -37,7 +37,17 @@ SCHEMA_VERSION = 1
 
 _PATTERN_HEADER = ["amplitude", "center_deg", "width_deg"]
 _SAMPLES_HEADER = ["angle_deg", "gain"]
-_SWEEP_HEADER = ["setting", "accuracy", "mean_err", "std_err", "min_err", "max_err", "n"]
+#: Sweep CSV column, which is also the JSON key -> (SweepRow field, type written).
+_SWEEP_FIELDS = {
+    "setting": ("setting", float),
+    "accuracy": ("accuracy", float),
+    "mean_err": ("mean_err", float),
+    "std_err": ("std_err", float),
+    "min_err": ("min_err", float),
+    "max_err": ("max_err", float),
+    "n": ("n_trials", int),
+}
+_SWEEP_HEADER = list(_SWEEP_FIELDS)
 _TRIALS_HEADER = ["theta_true_deg", "theta_hat_deg", "error_deg", "success"]
 
 
@@ -196,18 +206,10 @@ def read_waveform_csv(path) -> Recording:
     return Recording(rate_hz=1.0 / mean_step, channels=data[:, 1:].T)
 
 
-def _sweep_rows(report: SweepReport) -> list[list]:
+def _sweep_records(report: SweepReport) -> list[dict]:
     return [
-        [
-            repr(float(r.setting)),
-            repr(float(r.accuracy)),
-            repr(float(r.mean_err)),
-            repr(float(r.std_err)),
-            repr(float(r.min_err)),
-            repr(float(r.max_err)),
-            int(r.n_trials),
-        ]
-        for r in report.rows
+        {column: kind(getattr(row, field)) for column, (field, kind) in _SWEEP_FIELDS.items()}
+        for row in report.rows
     ]
 
 
@@ -215,7 +217,8 @@ def write_sweep_csv(path, report: SweepReport) -> None:
     buf = _stdio.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_SWEEP_HEADER)
-    writer.writerows(_sweep_rows(report))
+    # csv writes a float by its repr, so the text round-trips exactly.
+    writer.writerows(record.values() for record in _sweep_records(report))
     _atomic_write_text(path, buf.getvalue())
 
 
@@ -223,18 +226,7 @@ def write_sweep_json(path, report: SweepReport, config_meta: dict | None = None)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "setting_name": report.setting_name,
-        "rows": [
-            {
-                "setting": r.setting,
-                "accuracy": r.accuracy,
-                "mean_err": r.mean_err,
-                "std_err": r.std_err,
-                "min_err": r.min_err,
-                "max_err": r.max_err,
-                "n": r.n_trials,
-            }
-            for r in report.rows
-        ],
+        "rows": _sweep_records(report),
     }
     if config_meta:
         payload["config"] = config_meta

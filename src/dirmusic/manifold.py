@@ -92,6 +92,4 @@ def perturb(gains, half_width: float, rng: np.random.Generator) -> np.ndarray:
     if not np.isfinite(half_width) or half_width < 0.0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     g = np.asarray(gains, dtype=float)
-    if half_width == 0.0:
-        return g.copy()
     return g + rng.uniform(-half_width, half_width, size=g.shape)

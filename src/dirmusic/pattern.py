@@ -2,9 +2,9 @@
 
 A single element's azimuth gain is represented as g(theta) = sum_i
 a_i * exp(-((theta - b_i) / c_i)^2) with theta in degrees. The module
-provides evaluation with angular wrap-around and a damped Gauss-Newton
-(Levenberg-Marquardt) fitter that recovers the lobe parameters from
-measured (angle, gain) samples.
+provides evaluation with angular wrap-around and a bounded least-squares
+fitter (scipy's trust-region reflective ``least_squares``) that recovers
+the lobe parameters from measured (angle, gain) samples.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class GaussianMixturePattern:
         return np.array(
             [(c.amplitude, c.center_deg, c.width_deg) for c in self.components]
         )
-
-    def __call__(self, theta_deg):
-        return eval_pattern(self, theta_deg)
 
 
 #: Three-lobe fit of the measured directional spiral element at 1.25 GHz,

@@ -39,14 +39,12 @@ class NoPulseFoundError(RuntimeError):
 class Recording:
     """Multichannel waveform record.
 
-    ``channels`` is an (n_channels, n_samples) array in volts. When
-    ``element_of_channel`` is given it maps channel index -> array
-    element index; otherwise channels are already in element order.
+    ``channels`` is an (n_channels, n_samples) array in volts, one row
+    per array element, in element order.
     """
 
     rate_hz: float
     channels: np.ndarray
-    element_of_channel: tuple[int, ...] | None = None
 
     def __post_init__(self):
         data = np.asarray(self.channels, dtype=float)
@@ -59,11 +57,6 @@ class Recording:
         if not (self.rate_hz > 0.0 and np.isfinite(self.rate_hz)):
             raise ValueError(f"rate_hz must be > 0, got {self.rate_hz}")
         object.__setattr__(self, "channels", data)
-        if self.element_of_channel is not None:
-            mapping = tuple(int(i) for i in self.element_of_channel)
-            if sorted(mapping) != list(range(data.shape[0])):
-                raise ValueError("element_of_channel must be a permutation of channels")
-            object.__setattr__(self, "element_of_channel", mapping)
 
     @property
     def n_channels(self) -> int:
@@ -72,13 +65,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.channels.shape[1]
-
-    def in_element_order(self) -> np.ndarray:
-        """Rows reordered so row k belongs to array element k."""
-        if self.element_of_channel is None:
-            return self.channels
-        order = np.argsort(self.element_of_channel)
-        return self.channels[order]
 
 
 @dataclass(frozen=True)
@@ -260,8 +246,7 @@ def process_recording(
             f"recording has {rec.n_channels} channels but the array has "
             f"{array.n_elements} elements"
         )
-    ordered = replace(rec, channels=rec.in_element_order(), element_of_channel=None)
-    filtered = bandpass(ordered, filter_spec)
+    filtered = bandpass(rec, filter_spec)
     window = detect_pulse(
         filtered, k_sigma, pre_margin_s=pre_margin_s, post_margin_s=post_margin_s
     )

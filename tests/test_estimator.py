@@ -108,6 +108,15 @@ class TestEigSym:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eig_sym(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            eig_sym(np.ones(3))
+
+    def test_stack_checks_symmetry_per_matrix(self):
+        # the small matrix is asymmetric at its own scale, though not at
+        # the scale of its large neighbour
+        small = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
+        with pytest.raises(ValueError):
+            eig_sym(np.stack([1e9 * np.eye(2), small]))
 
 
 class TestNoiseSubspace:
@@ -158,6 +167,51 @@ class TestSpatialSpectrum:
             spatial_spectrum(noise_subspace(pair, 1), np.zeros((6, 0)), [])
         with pytest.raises(ValueError):
             spatial_spectrum(noise_subspace(pair, 1), self.MANIFOLD, self.GRID[:-1])
+        stacked = eig_sym(np.stack([np.eye(6), 2.0 * np.eye(6)]))
+        with pytest.raises(ValueError):
+            spatial_spectrum(noise_subspace(stacked, 1), self.MANIFOLD, self.GRID[:-1])
+
+
+# Stacks of symmetric PSD matrices; fewer snapshots than elements gives
+# singular members with repeated zero eigenvalues.
+PSD_STACK = dict(
+    n=st.integers(1, 10),
+    n_matrices=st.integers(1, 5),
+    n_snapshots=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _psd_stack(n, n_matrices, n_snapshots, seed):
+    a = np.random.default_rng(seed).normal(size=(n_matrices, n, n_snapshots))
+    covs = a @ np.swapaxes(a, -1, -2) / n_snapshots
+    return (covs + np.swapaxes(covs, -1, -2)) / 2.0
+
+
+class TestBatchedStages:
+    """A stack through the stages equals each matrix through them alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PSD_STACK)
+    def test_eig_sym_stack_equals_per_matrix(self, n, n_matrices, n_snapshots, seed):
+        covs = _psd_stack(n, n_matrices, n_snapshots, seed)
+        stacked = eig_sym(covs)
+        for j in range(n_matrices):
+            single = eig_sym(covs[j])
+            assert np.array_equal(stacked.values[j], single.values)
+            assert np.array_equal(stacked.vectors[j], single.vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PSD_STACK)
+    def test_spectrum_stack_equals_per_matrix(self, n, n_matrices, n_snapshots, seed):
+        covs = _psd_stack(n, n_matrices, n_snapshots, seed)
+        grid = default_grid()
+        manifold = manifold_matrix(DEFAULT_PATTERN, ArrayConfig.uniform(n), grid)
+        stacked = spatial_spectrum(noise_subspace(eig_sym(covs)), manifold, grid)
+        assert stacked.values.shape == (n_matrices, grid.size)
+        for j in range(n_matrices):
+            single = spatial_spectrum(noise_subspace(eig_sym(covs[j])), manifold, grid)
+            assert np.array_equal(stacked.values[j], single.values)
 
 
 class TestEstimateDoa:

@@ -58,6 +58,19 @@ class TestRunTrial:
 
 
 class TestRunBatch:
+    @pytest.mark.parametrize("protocol", [{}, {"integer_directions": True, "inclusive_success": True}])
+    def test_trial_j_is_run_trial_on_child_j(self, protocol):
+        # trial j's generator draws the direction first, then run_trial's draws
+        cfg = dataclasses.replace(FAST, n_trials=6, snr_db=-5.0, manifold_error=0.05, **protocol)
+        batch = run_batch(cfg)
+        for j, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)):
+            rng = np.random.default_rng(child)
+            if cfg.integer_directions:
+                theta = float(rng.integers(1, 361))
+            else:
+                theta = rng.uniform(1.0, 360.0)
+            assert run_trial(cfg, theta, rng) == batch[j]
+
     def test_reproducible_bitwise(self):
         cfg = dataclasses.replace(FAST, snr_db=0.0, n_trials=16)
         assert run_batch(cfg) == run_batch(cfg)

@@ -244,16 +244,6 @@ class TestProcessRecording:
         moved = process_recording(rotated, SHARP_FILTER, DEFAULT_PATTERN, ARRAY6)
         assert moved.estimate.angle_deg == (base.estimate.angle_deg - 60.0) % 360.0
 
-    def test_channel_map_restores_element_order(self):
-        rec = make_recording(93.0)
-        scrambled = Recording(
-            RATE,
-            rec.channels[[2, 0, 3, 1]],
-            element_of_channel=(2, 0, 3, 1),
-        )
-        result = process_recording(scrambled, SHARP_FILTER, DEFAULT_PATTERN, SUBSET4)
-        assert result.estimate.angle_deg == 93.0
-
     def test_channel_count_mismatch_rejected(self):
         rec = make_recording(93.0)
         with pytest.raises(ValueError):
@@ -276,7 +266,3 @@ class TestRecordingValidation:
             Recording(0.0, np.zeros((2, 10)))
         with pytest.raises(ValueError):
             Recording(RATE, np.array([[np.nan, 1.0]]))
-
-    def test_rejects_bad_channel_map(self):
-        with pytest.raises(ValueError):
-            Recording(RATE, np.zeros((2, 10)), element_of_channel=(0, 0))
