@@ -118,11 +118,16 @@ def gaussian_sum(angles_deg, params) -> np.ndarray:
 
     ``params`` holds (a, b, c) triples concatenated. Angles are used as
     given (no wrapping); callers wrap beforehand.
+
+    The lobes lie along a leading axis, so the sum adds them one by one
+    in parameter order: for up to 7 lobes the order, and the result bit
+    for bit, of a sum over a trailing lobe axis, at a fraction of its cost.
     """
     p = np.asarray(params, dtype=float).reshape(-1, 3)
     x = np.asarray(angles_deg, dtype=float)
-    d = x[..., None] - p[:, 1]
-    return (p[:, 0] * np.exp(-((d / p[:, 2]) ** 2))).sum(axis=-1)
+    a, b, c = p.T.reshape((3, -1) + (1,) * x.ndim)
+    d = (x - b) / c
+    return (a * np.exp(-(d * d))).sum(axis=0)
 
 
 def gaussian_sum_jacobian(angles_deg, params) -> np.ndarray:

@@ -10,6 +10,7 @@ carry the direction information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,6 +68,19 @@ class Recording:
         return self.channels.shape[1]
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """``np.sinc(x)`` for ``x`` whose only zero is ``x[0]``.
+
+    Same arithmetic as ``np.sinc``, with its zero guard (a ``where`` over
+    the whole array) replaced by the limit 1 at ``x[0]``.
+    """
+    y = np.pi * x
+    y[0] = 1.0
+    y = np.sin(y) / y
+    y[0] = 1.0
+    return y
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Linear-phase windowed-sinc bandpass design.
@@ -99,9 +113,18 @@ class FilterSpec:
         if self.high_hz >= nyquist:
             raise ValueError(f"high_hz={self.high_hz} must be below Nyquist ({nyquist})")
         low, high = self.low_hz / nyquist, self.high_hz / nyquist
-        m = np.arange(self.n_taps) - (self.n_taps - 1) / 2.0
-        taps = (high * np.sinc(high * m) - low * np.sinc(low * m)) * np.hamming(self.n_taps)
-        return taps / np.sum(taps * np.cos(np.pi * m * (low + high) / 2.0))
+        # Every factor is even about the centre tap, so each is evaluated
+        # once per offset m = 0..half, by the arithmetic of np.sinc and
+        # np.hamming, and mirrored: the taps equal the full-length design.
+        half = (self.n_taps - 1) // 2
+        m = np.arange(half + 1.0)
+        taps = high * _sinc(high * m)
+        taps -= low * _sinc(low * m)
+        taps *= 0.54 + 0.46 * np.cos(np.pi * (2.0 * m) / (2 * half))
+        carrier = np.cos(np.pi * m * (low + high) / 2.0)
+        taps = np.concatenate((taps[:0:-1], taps))
+        taps /= np.sum(taps * np.concatenate((carrier[:0:-1], carrier)))
+        return taps
 
 
 @dataclass(frozen=True)
@@ -134,6 +157,21 @@ class PipelineResult:
     n_elements: int
 
 
+def _fft_length(n_samples: int, n_taps: int) -> int:
+    """Overlap-add FFT length with the least ``n_blocks * n_fft * log2(n_fft)``.
+
+    The candidates are 2^k and 5/4 * 2^k, from the smallest power of two
+    >= max(1024, 4 * n_taps) until one holds the whole record in one
+    block; the smallest wins ties.
+    """
+    size = 1 << (max(1024, 4 * n_taps) - 1).bit_length()
+    sizes = []
+    while not sizes or sizes[-1] < n_samples + n_taps - 1:
+        sizes += [size, size * 5 // 4]
+        size *= 2
+    return min(sizes, key=lambda n: -(-n_samples // (n - n_taps + 1)) * n * math.log2(n))
+
+
 def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     """Filter every channel with the same linear-phase FIR kernel.
 
@@ -147,8 +185,10 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     (Stockham 1966): each channel is cut into blocks of ``step`` samples,
     every block is convolved with the kernel by one real FFT of length
     ``n_fft``, and the ``n_taps - 1`` samples each block spills past its
-    end are added onto the start of the next block. The floor of 1024
-    on ``n_fft`` keeps short kernels from paying for many tiny FFTs.
+    end are added onto the start of the next block; the last block's
+    spill ends the full convolution. ``n_fft`` is the size with the least
+    transform work for this record (see ``_fft_length``), so a record
+    that fits in one good FFT length is filtered as a single block.
     """
     n_taps = spec.n_taps
     n_channels, n_samples = rec.channels.shape
@@ -156,18 +196,20 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
         raise ValueError(f"record length {n_samples} is shorter than the kernel ({n_taps})")
     kernel = spec.kernel(rec.rate_hz)
     delay = (n_taps - 1) // 2
-    n_fft = 1 << (max(1024, 4 * n_taps) - 1).bit_length()
+    n_fft = _fft_length(n_samples, n_taps)
     step = n_fft - n_taps + 1
-    # Enough blocks that the delayed output ends inside them, so the
-    # spill of the last block is never needed.
-    n_blocks = -(-(n_samples + delay) // step)
-    padded = np.zeros((n_channels, n_blocks * step))
-    padded[:, :n_samples] = rec.channels
-    spectra = np.fft.rfft(padded.reshape(n_channels, n_blocks, step), n_fft)
+    n_blocks = -(-n_samples // step)
+    # The input blocks, plus one row past them that later takes the last
+    # spill; the filtered blocks then overwrite the input in place.
+    full = np.zeros((n_channels, n_blocks + 1, step))
+    full.reshape(n_channels, -1)[:, :n_samples] = rec.channels
+    spectra = np.fft.rfft(full[:, :-1], n_fft)
     spectra *= np.fft.rfft(kernel, n_fft)
     blocks = np.fft.irfft(spectra, n_fft)
     blocks[:, 1:, : n_taps - 1] += blocks[:, :-1, step:]
-    filtered = blocks[:, :, :step].reshape(n_channels, -1)[:, delay : delay + n_samples]
+    full[:, :-1] = blocks[:, :, :step]
+    full[:, -1, : n_taps - 1] = blocks[:, -1, step:]
+    filtered = full.reshape(n_channels, -1)[:, delay : delay + n_samples]
     return replace(rec, channels=filtered)
 
 

@@ -64,6 +64,9 @@ class SamplingSpec:
 DEFAULT_PULSE = PulseModel()
 DEFAULT_SAMPLING = SamplingSpec()
 
+# exp(-x) rounds to 0.0 for every x above about 745.13.
+_EXP_ZERO = 746.0
+
 
 def pd_pulse(model: PulseModel = DEFAULT_PULSE, spec: SamplingSpec = DEFAULT_SAMPLING) -> np.ndarray:
     """Sample the damped-oscillation pulse.
@@ -77,8 +80,17 @@ def pd_pulse(model: PulseModel = DEFAULT_PULSE, spec: SamplingSpec = DEFAULT_SAM
             f"rate_hz={spec.rate_hz} must exceed twice the carrier {model.carrier_hz}"
         )
     t = np.arange(spec.n_samples) / spec.rate_hz
-    envelope = np.exp(-t / model.decay_s) - np.exp(-t / model.rise_s)
-    return model.amplitude * envelope * np.cos(2.0 * np.pi * model.carrier_hz * t)
+    # From _EXP_ZERO time constants on an exponential is exactly 0.0, and
+    # exp is several times slower on that underflowing range, so each
+    # exponential is evaluated only before it and the pulse is 0 after.
+    live = t.searchsorted(_EXP_ZERO * model.decay_s)
+    rising = t.searchsorted(_EXP_ZERO * model.rise_s)
+    t = t[:live]
+    envelope = np.exp(-t / model.decay_s)
+    envelope[:rising] -= np.exp(-t[:rising] / model.rise_s)
+    pulse = np.zeros(spec.n_samples)
+    pulse[:live] = model.amplitude * envelope * np.cos(2.0 * np.pi * model.carrier_hz * t)
+    return pulse
 
 
 def synthesize_clean(gains, pulse) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirmusic.experiments import (
+    _SCAN_BLOCK,
     TrialConfig,
     TrialReport,
     run_batch,
@@ -58,10 +59,20 @@ class TestRunTrial:
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("protocol", [{}, {"integer_directions": True, "inclusive_success": True}])
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            {},
+            {"integer_directions": True, "inclusive_success": True},
+            # a batch that spans a spectrum-scan block boundary
+            pytest.param({"n_elements": 10, "n_trials": _SCAN_BLOCK + 3}, id="across_scan_blocks"),
+        ],
+    )
     def test_trial_j_is_run_trial_on_child_j(self, protocol):
         # trial j's generator draws the direction first, then run_trial's draws
-        cfg = dataclasses.replace(FAST, n_trials=6, snr_db=-5.0, manifold_error=0.05, **protocol)
+        cfg = dataclasses.replace(
+            FAST, **{"n_trials": 6, "snr_db": -5.0, "manifold_error": 0.05, **protocol}
+        )
         batch = run_batch(cfg)
         for j, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)):
             rng = np.random.default_rng(child)

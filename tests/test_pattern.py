@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dirmusic.pattern import (
@@ -89,6 +89,24 @@ class TestEvalPattern:
     def test_nonnegative_everywhere(self):
         thetas = np.arange(0.0, 360.0, 0.25)
         assert np.all(eval_pattern(DEFAULT_PATTERN, thetas) >= 0.0)
+
+
+class TestGaussianSum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lobes=st.integers(1, 7),
+        shape=st.sampled_from([(), (1,), (7,), (360,), (6, 360)]),
+    )
+    def test_equals_one_expression_form_bitwise(self, seed, n_lobes, shape):
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(0.0, 360.0, size=shape)
+        params = np.column_stack(
+            [rng.uniform(0.0, 1.0, n_lobes), rng.uniform(0.0, 360.0, n_lobes), rng.uniform(1.0, 120.0, n_lobes)]
+        )
+        d = angles[..., None] - params[:, 1]
+        expected = (params[:, 0] * np.exp(-((d / params[:, 2]) ** 2))).sum(axis=-1)
+        assert np.array_equal(gaussian_sum(angles, params.ravel()), expected)
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dirmusic.estimator import estimate_doa
@@ -11,6 +12,7 @@ from dirmusic.pipeline import (
     FilterSpec,
     NoPulseFoundError,
     Recording,
+    _fft_length,
     bandpass,
     detect_pulse,
     normalize_bipolar,
@@ -54,6 +56,14 @@ def make_recording(
 def _freq_response(kernel, freq_hz, rate_hz=RATE):
     n = np.arange(kernel.size)
     return abs(np.sum(kernel * np.exp(-2j * np.pi * freq_hz * n / rate_hz)))
+
+
+def _assert_matches_convolve(channels, spec):
+    kernel = spec.kernel(RATE)
+    expected = np.array([np.convolve(ch, kernel, mode="same") for ch in channels])
+    out = bandpass(Recording(RATE, channels), spec).channels
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestFilterSpec:
@@ -126,10 +136,11 @@ class TestBandpass:
         mid = slice(1100, -1100)
         assert np.max(np.abs(out[mid])) <= 0.1
 
-    # Lengths: the kernel itself, lengths that are no multiple of the
-    # overlap-add block step (924 samples at 101 taps, 3096 at 1001),
-    # exact multiples of it, and lengths whose delay-shifted end lands
-    # exactly on a block edge.
+    # Lengths: the kernel itself, 4096 and 200,003 (one block or many,
+    # by the FFT length each record gets), and two-block records whose
+    # output ends inside the last block's spill (1848 and 6192, whole
+    # multiples of the 924- and 3096-sample steps; 5693, one sample in)
+    # or exactly where the last block's step ends (1798, 5692).
     @pytest.mark.parametrize(
         "n_taps, n_samples",
         [(n, length) for n in (11, 101, 1001) for length in (n, 4096, 200_003)]
@@ -137,13 +148,28 @@ class TestBandpass:
     )
     def test_matches_direct_convolution(self, n_taps, n_samples):
         rng = np.random.default_rng(n_samples)
-        rec = Recording(RATE, rng.normal(size=(2, n_samples)))
-        spec = FilterSpec(n_taps=n_taps)
-        kernel = spec.kernel(RATE)
-        expected = np.array([np.convolve(ch, kernel, mode="same") for ch in rec.channels])
-        out = bandpass(rec, spec).channels
-        assert out.shape == expected.shape
-        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+        _assert_matches_convolve(rng.normal(size=(2, n_samples)), FilterSpec(n_taps=n_taps))
+
+    @pytest.mark.parametrize("n_taps", [11, 101, 1001])
+    def test_one_block_capacity_and_one_past(self, n_taps):
+        # At its capacity the smallest FFT holds the record in one block;
+        # one sample more and the 5/4 size does, by the same code path.
+        smallest = 1 << (max(1024, 4 * n_taps) - 1).bit_length()
+        capacity = smallest - n_taps + 1
+        assert _fft_length(capacity, n_taps) == smallest
+        assert _fft_length(capacity + 1, n_taps) == smallest * 5 // 4
+        rng = np.random.default_rng(n_taps)
+        for n_samples in (capacity, capacity + 1):
+            _assert_matches_convolve(rng.normal(size=(3, n_samples)), FilterSpec(n_taps=n_taps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), half=st.integers(5, 500), n_channels=st.integers(1, 6))
+    def test_matches_direct_convolution_property(self, data, half, n_channels):
+        n_taps = 2 * half + 1
+        smallest = 1 << (max(1024, 4 * n_taps) - 1).bit_length()
+        n_samples = data.draw(st.integers(n_taps, 3 * smallest), label="n_samples")
+        rng = np.random.default_rng(n_samples)
+        _assert_matches_convolve(rng.normal(size=(n_channels, n_samples)), FilterSpec(n_taps=n_taps))
 
     def test_record_shorter_than_kernel_rejected(self):
         rec = Recording(RATE, np.zeros((1, 64)))

@@ -51,6 +51,23 @@ class TestPdPulse:
         t = np.arange(spec.n_samples) / spec.rate_hz
         assert np.all(np.abs(s) <= _envelope(t) + 1e-15)
 
+    @pytest.mark.parametrize(
+        "model, spec",
+        [
+            (DEFAULT_PULSE, DEFAULT_SAMPLING),
+            (DEFAULT_PULSE, SamplingSpec(rate_hz=10e9, n_samples=512)),
+            (DEFAULT_PULSE, SamplingSpec(10e9, 256)),
+            # decay long enough that no sample reaches the underflow cut
+            (PulseModel(decay_s=2e-6, rise_s=1e-6), DEFAULT_SAMPLING),
+        ],
+    )
+    def test_matches_direct_formula(self, model, spec):
+        # only the sign of zeros past the cut may differ, which == ignores
+        t = np.arange(spec.n_samples) / spec.rate_hz
+        envelope = np.exp(-t / model.decay_s) - np.exp(-t / model.rise_s)
+        direct = model.amplitude * envelope * np.cos(2.0 * np.pi * model.carrier_hz * t)
+        assert np.array_equal(pd_pulse(model, spec), direct)
+
     def test_rejects_decay_not_longer_than_rise(self):
         with pytest.raises(ValueError):
             PulseModel(decay_s=0.2e-9, rise_s=0.2e-9)
