@@ -11,6 +11,7 @@ from dirmusic.pattern import DEFAULT_PATTERN
 from dirmusic.pipeline import (
     FilterSpec,
     NoPulseFoundError,
+    PulseWindow,
     Recording,
     _fft_length,
     bandpass,
@@ -64,6 +65,73 @@ def _assert_matches_convolve(channels, spec):
     out = bandpass(Recording(RATE, channels), spec).channels
     assert out.shape == expected.shape
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _csv_layout(channels):
+    """The same samples laid out as ``read_waveform_csv`` returns them:
+    the channel columns of a (samples, 1 + channels) table, transposed."""
+    table = np.zeros((channels.shape[1], 1 + channels.shape[0]))
+    table[:, 1:] = channels.T
+    return table[:, 1:].T
+
+
+def _stream_pool(seed, size):
+    """(theta, record) pairs built like the ``pipeline_stream`` benchmark's
+    records: 4 x 4096 samples at 10 GS/s, the 256-sample pulse at sample
+    1500, white noise at 10 dB over the record and a 948 MHz tone of
+    twice the record's mean power."""
+    pulse = pd_pulse(PulseModel(), SamplingSpec(RATE, 256))
+    t = np.arange(4096) / RATE
+    for child in np.random.SeedSequence([seed, 3]).spawn(size):
+        rng = np.random.default_rng(child)
+        theta = float(rng.uniform(1.0, 360.0))
+        channels = np.zeros((4, 4096))
+        gains = steering_vector(DEFAULT_PATTERN, SUBSET4, theta)
+        channels[:, 1500 : 1500 + pulse.size] = synthesize_clean(gains, pulse)
+        power = float(np.mean(channels**2))
+        channels += rng.normal(0.0, np.sqrt(power / 10.0), channels.shape)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        channels += np.sqrt(2.0 * power) * np.sin(2.0 * np.pi * 948e6 * t + phase)
+        yield theta, Recording(RATE, channels)
+
+
+# (angle_deg, window start, stop, channel, threshold) of the first 32
+# records of _stream_pool(1, ...), as the bandpass before its buffer
+# re-plan gave them; the comment is the true direction.
+STREAM_POOL_GOLDEN = [
+    (114.0, 1458, 1709, 2, 0.011652538046024216),  # 113.67
+    (147.0, 1458, 1709, 1, 0.009756357124281325),  # 146.66
+    (345.0, 1458, 1709, 3, 0.006904856881910247),  # 345.23
+    (278.0, 1458, 1709, 0, 0.005355186617005143),  # 277.88
+    (299.0, 1458, 1709, 3, 0.00561593392499662),  # 299.07
+    (142.0, 1458, 1709, 1, 0.010450155850592646),  # 142.20
+    (309.0, 1458, 1709, 3, 0.005118928678245928),  # 308.85
+    (291.0, 1458, 1709, 3, 0.005362984604363172),  # 290.82
+    (143.0, 1458, 1709, 1, 0.01136143172935726),  # 142.78
+    (106.0, 1458, 1709, 2, 0.011108633859403293),  # 106.49
+    (256.0, 1458, 1709, 0, 0.0055885881039654745),  # 255.93
+    (295.0, 1458, 1709, 3, 0.005342072972778712),  # 295.05
+    (272.0, 1458, 1709, 0, 0.006117692911769742),  # 272.39
+    (164.0, 1458, 1709, 1, 0.010267058661227615),  # 163.36
+    (164.0, 1458, 1709, 1, 0.009443696374559135),  # 163.85
+    (158.0, 1458, 1709, 1, 0.009362226416086092),  # 159.13
+    (192.0, 1458, 1709, 0, 0.009405931130830674),  # 192.01
+    (27.0, 1458, 1709, 3, 0.009740128032093386),  # 27.84
+    (337.0, 1458, 1709, 3, 0.007053480292922481),  # 337.78
+    (31.0, 1458, 1709, 3, 0.008540225036650638),  # 31.43
+    (3.0, 1458, 1709, 3, 0.007089377463097521),  # 3.01
+    (341.0, 1458, 1709, 3, 0.0069864758224900386),  # 341.49
+    (94.0, 1458, 1709, 2, 0.010991278650027707),  # 95.30
+    (238.0, 1458, 1709, 0, 0.006974038976076514),  # 238.08
+    (67.0, 1458, 1709, 2, 0.009762175189112002),  # 66.76
+    (343.0, 1458, 1709, 3, 0.007420556361238032),  # 343.35
+    (7.0, 1458, 1709, 3, 0.007799882099590936),  # 7.04
+    (198.0, 1458, 1709, 0, 0.007697456934333973),  # 197.81
+    (273.0, 1458, 1709, 0, 0.005097391748224642),  # 272.57
+    (214.0, 1458, 1709, 0, 0.008029750957564724),  # 214.24
+    (168.0, 1458, 1709, 1, 0.009686457469311979),  # 167.85
+    (151.0, 1458, 1709, 1, 0.010236521142573134),  # 150.54
+]
 
 
 class TestFilterSpec:
@@ -171,6 +239,29 @@ class TestBandpass:
         rng = np.random.default_rng(n_samples)
         _assert_matches_convolve(rng.normal(size=(n_channels, n_samples)), FilterSpec(n_taps=n_taps))
 
+    # The block-edge lengths above, plus one-block records with no whole
+    # block before the last: shorter than a step, exactly one step (924
+    # at 101 taps), the kernel itself, and 4096 at 1001 taps.
+    @pytest.mark.parametrize(
+        "n_taps, n_samples",
+        [(101, 1848), (101, 1798), (1001, 6192), (1001, 5692), (1001, 5693)]
+        + [(101, 500), (101, 924), (11, 11), (1001, 1001), (1001, 4096)],
+    )
+    def test_csv_layout_gives_the_same_bits(self, n_taps, n_samples):
+        channels = np.random.default_rng(n_samples).normal(size=(4, n_samples))
+        strided = _csv_layout(channels)
+        assert not strided.flags.c_contiguous
+        spec = FilterSpec(n_taps=n_taps)
+        expected = bandpass(Recording(RATE, channels), spec).channels
+        assert np.array_equal(bandpass(Recording(RATE, strided), spec).channels, expected)
+
+    @pytest.mark.parametrize("n_samples", [500, 4096, 8192])
+    def test_output_shares_no_memory_with_input(self, n_samples):
+        channels = np.random.default_rng(2).normal(size=(3, n_samples))
+        for layout in (channels, _csv_layout(channels)):
+            out = bandpass(Recording(RATE, layout), FilterSpec()).channels
+            assert not np.shares_memory(out, layout)
+
     def test_record_shorter_than_kernel_rejected(self):
         rec = Recording(RATE, np.zeros((1, 64)))
         with pytest.raises(ValueError):
@@ -201,6 +292,31 @@ class TestDetectPulse:
         window = detect_pulse(Recording(RATE, channels))
         assert window.start <= 4005 <= window.stop  # centered on the larger pulse
         assert window.start > 1128
+
+    def test_negative_peak_wins_over_smaller_positive(self):
+        channels = np.zeros((2, 1000))
+        channels[0, 300] = 1.5
+        channels[1, 500] = -2.0
+        window = detect_pulse(Recording(RATE, channels))
+        assert (window.channel, window.start) == (1, 450)
+
+    # A +/- magnitude tie: the first position in flat (channel, sample)
+    # order wins, whichever sign it has.
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            ((0, 400, -1.0), (0, 600, 1.0), (0, 350)),
+            ((0, 400, 1.0), (0, 600, -1.0), (0, 350)),
+            ((0, 700, 1.0), (1, 100, -1.0), (0, 650)),
+            ((0, 700, -1.0), (1, 100, 1.0), (0, 650)),
+        ],
+    )
+    def test_magnitude_tie_earlier_position_wins(self, first, second, expected):
+        channels = np.zeros((2, 1000))
+        for channel, index, value in (first, second):
+            channels[channel, index] = value
+        window = detect_pulse(Recording(RATE, channels))
+        assert (window.channel, window.start) == expected
 
     def test_translation_covariance(self):
         base = make_recording(40.0, pulse_start=1200, snr_db=20.0, seed=9)
@@ -269,6 +385,13 @@ class TestProcessRecording:
         base = process_recording(rec, SHARP_FILTER, DEFAULT_PATTERN, ARRAY6)
         moved = process_recording(rotated, SHARP_FILTER, DEFAULT_PATTERN, ARRAY6)
         assert moved.estimate.angle_deg == (base.estimate.angle_deg - 60.0) % 360.0
+
+    def test_stream_pool_matches_golden(self):
+        pool = list(_stream_pool(1, len(STREAM_POOL_GOLDEN)))
+        for (_, rec), (angle, start, stop, channel, threshold) in zip(pool, STREAM_POOL_GOLDEN):
+            result = process_recording(rec, SHARP_FILTER, DEFAULT_PATTERN, SUBSET4)
+            assert result.estimate.angle_deg == angle
+            assert result.window == PulseWindow(start, stop, channel, threshold)
 
     def test_channel_count_mismatch_rejected(self):
         rec = make_recording(93.0)

@@ -145,6 +145,16 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             add_awgn(np.zeros((2, 16)), 10.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape, snr_db", [((6, 15360), -10.0), ((4, 251), 7.5), ((1, 3), 30.0)])
+    def test_same_bits_and_stream_as_one_normal_draw(self, shape, snr_db):
+        # the defining form: clean + rng.normal(0, sigma, size)
+        x = np.random.default_rng(1).normal(size=shape)
+        sigma = np.sqrt(np.mean(x**2) / 10.0 ** (snr_db / 10.0))
+        reference_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected = x + reference_rng.normal(0.0, sigma, size=shape)
+        assert np.array_equal(add_awgn(x, snr_db, rng), expected)
+        assert rng.random() == reference_rng.random()
+
 
 class TestDefaults:
     def test_sampling_defaults(self):
