@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io as _stdio
 import json
 import sys
 from dataclasses import replace
@@ -164,15 +163,18 @@ def cmd_manifold(args) -> int:
     array = cfg.array()
     grid = default_grid(cfg.grid_step_deg)
     matrix = manifold_matrix(cfg.pattern, array, grid)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["angle_deg"] + [f"g{k + 1}" for k in range(array.n_elements)])
-    for j, angle in enumerate(grid):
-        writer.writerow([repr(float(angle))] + [repr(float(v)) for v in matrix[:, j]])
+
+    def write(handle):
+        writer = csv.writer(handle)
+        writer.writerow(["angle_deg"] + [f"g{k + 1}" for k in range(array.n_elements)])
+        for j, angle in enumerate(grid):
+            writer.writerow([repr(float(angle))] + [repr(float(v)) for v in matrix[:, j]])
+
     if args.out:
-        dio._atomic_write_text(args.out, buf.getvalue())
+        with dio._atomic_open(args.out) as handle:
+            write(handle)
     else:
-        sys.stdout.write(buf.getvalue())
+        write(sys.stdout)
     return EXIT_OK
 
 

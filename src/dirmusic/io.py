@@ -7,7 +7,6 @@ leave half-written artifacts.
 from __future__ import annotations
 
 import csv
-import io as _stdio
 import json
 import os
 import tempfile
@@ -49,19 +48,42 @@ _SWEEP_FIELDS = {
 }
 _SWEEP_HEADER = list(_SWEEP_FIELDS)
 _TRIALS_HEADER = ["theta_true_deg", "theta_hat_deg", "error_deg", "success"]
+#: Rows formatted per write by write_waveform_csv.
+_WAVEFORM_BLOCK = 1024
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class _atomic_open:
+    """``with _atomic_open(path) as handle:`` writes text to a temp file
+    beside ``path`` and renames it over ``path`` when the block ends.
+
+    On any exception the temp file is removed and ``path`` is untouched.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def __enter__(self):
+        fd, self.tmp = tempfile.mkstemp(
+            dir=self.path.parent or Path("."), prefix=self.path.name, suffix=".tmp"
+        )
+        try:
+            self.handle = os.fdopen(fd, "w", newline="")
+        except BaseException:
+            os.close(fd)
+            os.unlink(self.tmp)
+            raise
+        return self.handle
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.handle.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+        except BaseException:
+            os.unlink(self.tmp)
+            raise
+        if exc_type is not None:
+            os.unlink(self.tmp)
 
 
 def _check_header(actual: list[str], expected: list[str], path) -> None:
@@ -79,14 +101,13 @@ def _check_header(actual: list[str], expected: list[str], path) -> None:
 
 def write_pattern_csv(path, pattern: GaussianMixturePattern) -> None:
     """One row per Gaussian lobe: amplitude, center_deg, width_deg."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_PATTERN_HEADER)
-    for comp in pattern.components:
-        writer.writerow(
-            [repr(float(comp.amplitude)), repr(float(comp.center_deg)), repr(float(comp.width_deg))]
-        )
-    _atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_PATTERN_HEADER)
+        for comp in pattern.components:
+            writer.writerow(
+                [repr(float(comp.amplitude)), repr(float(comp.center_deg)), repr(float(comp.width_deg))]
+            )
 
 
 def read_pattern_csv(path) -> GaussianMixturePattern:
@@ -106,12 +127,11 @@ def write_pattern_samples_csv(path, angles_deg, gains) -> None:
     """Measured-pattern samples: angle_deg, gain."""
     angles = np.asarray(angles_deg, dtype=float).ravel()
     values = np.asarray(gains, dtype=float).ravel()
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_SAMPLES_HEADER)
-    for a, g in zip(angles, values):
-        writer.writerow([repr(float(a)), repr(float(g))])
-    _atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_SAMPLES_HEADER)
+        for a, g in zip(angles, values):
+            writer.writerow([repr(float(a)), repr(float(g))])
 
 
 def read_pattern_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +149,25 @@ def read_pattern_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_waveform_csv(path, rec: Recording) -> None:
-    """Waveform CSV: time_s,ch1..chN with a uniform time step 1/rate."""
-    buf = _stdio.StringIO()
-    csv.writer(buf).writerow(["time_s"] + [f"ch{i + 1}" for i in range(rec.n_channels)])
-    times = np.arange(rec.n_samples) / rec.rate_hz
+    """Waveform CSV: time_s,ch1..chN with a uniform time step 1/rate.
+
+    Every value is written as ``%.12e``, the bytes ``np.savetxt`` writes
+    with that format. The body streams to the file in blocks of
+    ``_WAVEFORM_BLOCK`` rows, so memory is bounded by one block whatever
+    the record length.
+    """
+    n = rec.n_samples
     # "\r\n" ends every line, as csv.writer ends the header.
-    np.savetxt(
-        buf, np.column_stack([times, rec.channels.T]), fmt="%.12e", delimiter=",", newline="\r\n"
-    )
-    _atomic_write_text(path, buf.getvalue())
+    row = ",".join(["%.12e"] * (rec.n_channels + 1)) + "\r\n"
+    rows = np.empty((min(_WAVEFORM_BLOCK, n), rec.n_channels + 1))
+    with _atomic_open(path) as handle:
+        csv.writer(handle).writerow(["time_s"] + [f"ch{i + 1}" for i in range(rec.n_channels)])
+        for start in range(0, n, _WAVEFORM_BLOCK):
+            stop = min(start + _WAVEFORM_BLOCK, n)
+            block = rows[: stop - start]
+            np.divide(np.arange(start, stop), rec.rate_hz, out=block[:, 0])
+            block[:, 1:] = rec.channels[:, start:stop].T
+            handle.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def _bad_row_error(path, n_fields: int) -> ValueError:
@@ -214,12 +244,11 @@ def _sweep_records(report: SweepReport) -> list[dict]:
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_SWEEP_HEADER)
-    # csv writes a float by its repr, so the text round-trips exactly.
-    writer.writerows(record.values() for record in _sweep_records(report))
-    _atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_SWEEP_HEADER)
+        # csv writes a float by its repr, so the text round-trips exactly.
+        writer.writerows(record.values() for record in _sweep_records(report))
 
 
 def write_sweep_json(path, report: SweepReport, config_meta: dict | None = None) -> None:
@@ -234,20 +263,20 @@ def write_sweep_json(path, report: SweepReport, config_meta: dict | None = None)
 
 
 def write_trials_csv(path, trials: list[TrialReport]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_TRIALS_HEADER)
-    for t in trials:
-        writer.writerow(
-            [
-                repr(float(t.theta_true_deg)),
-                repr(float(t.theta_hat_deg)),
-                repr(float(t.error_deg)),
-                int(t.success),
-            ]
-        )
-    _atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_TRIALS_HEADER)
+        for t in trials:
+            writer.writerow(
+                [
+                    repr(float(t.theta_true_deg)),
+                    repr(float(t.theta_hat_deg)),
+                    repr(float(t.error_deg)),
+                    int(t.success),
+                ]
+            )
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

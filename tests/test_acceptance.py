@@ -14,6 +14,7 @@ covered in tests/test_published_protocol.py and the README.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -60,33 +61,40 @@ def _criterion(name, checks):
 
 
 @pytest.fixture(scope="session")
-def snr_batches_6el():
+def batch():
+    """run_batch cached by TrialConfig, so a setting two criteria share
+    (6 elements at eps = 0.05) runs once."""
+    return functools.cache(run_batch)
+
+
+@pytest.fixture(scope="session")
+def snr_batches_6el(batch):
     return {
-        snr: run_batch(dataclasses.replace(BASE, snr_db=float(snr)))
+        snr: batch(dataclasses.replace(BASE, snr_db=float(snr)))
         for snr in (10, 5, 0, -5, -10)
     }
 
 
 @pytest.fixture(scope="session")
-def eps_batches_6el():
+def eps_batches_6el(batch):
     return {
-        eps: run_batch(dataclasses.replace(BASE, manifold_error=eps))
+        eps: batch(dataclasses.replace(BASE, manifold_error=eps))
         for eps in (0.025, 0.05, 0.075, 0.1)
     }
 
 
 @pytest.fixture(scope="session")
-def element_batches():
+def element_batches(batch):
     return {
-        n: run_batch(dataclasses.replace(BASE, n_elements=n, manifold_error=0.05))
+        n: batch(dataclasses.replace(BASE, n_elements=n, manifold_error=0.05))
         for n in (1, 2, 4, 6, 8, 10)
     }
 
 
 @pytest.fixture(scope="session")
-def snr_batches_4el():
+def snr_batches_4el(batch):
     cfg = dataclasses.replace(BASE, n_elements=4, offsets_deg=SUBSET4)
-    return {snr: run_batch(dataclasses.replace(cfg, snr_db=float(snr))) for snr in (10, 5, 0, -5, -10)}
+    return {snr: batch(dataclasses.replace(cfg, snr_db=float(snr))) for snr in (10, 5, 0, -5, -10)}
 
 
 def test_criterion_1_snr_accuracy_6_elements(snr_batches_6el):

@@ -11,7 +11,8 @@ import pytest
 import dirmusic
 from dirmusic import io as dio
 from dirmusic.cli import EXIT_IO, EXIT_NO_PULSE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from dirmusic.manifold import ArrayConfig, steering_vector
+from dirmusic.estimator import default_grid
+from dirmusic.manifold import ArrayConfig, manifold_matrix, steering_vector
 from dirmusic.pattern import DEFAULT_PATTERN, eval_pattern
 from dirmusic.pipeline import Recording
 from dirmusic.signal import PulseModel, SamplingSpec, pd_pulse, synthesize_clean
@@ -70,6 +71,22 @@ class TestManifoldDump:
         out = tmp_path / "manifold.csv"
         code = main(["manifold", "--config", str(config), "--grid-step", "90", "--out", str(out)])
         assert code == EXIT_OK
+
+    def test_out_file_and_stdout_hold_the_csv_module_bytes(self, tmp_path, capsys):
+        out = tmp_path / "manifold.csv"
+        args = ["manifold", "--elements", "4", "--grid-step", "45"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        grid = default_grid(45.0)
+        matrix = manifold_matrix(DEFAULT_PATTERN, ArrayConfig.uniform(4), grid)
+        lines = ["angle_deg,g1,g2,g3,g4"] + [
+            ",".join(repr(float(v)) for v in (angle, *matrix[:, j])) for j, angle in enumerate(grid)
+        ]
+        expected = "".join(line + "\r\n" for line in lines)
+        assert out.read_bytes() == expected.encode()
+        assert printed == expected
 
 
 @pytest.mark.parametrize("command", [["manifold"], ["estimate", "wave.csv"]])

@@ -116,16 +116,26 @@ class TestWaveformFiles:
             dio.read_waveform_csv(path)
 
     def test_writer_matches_csv_module_bytes(self, tmp_path):
+        block = dio._WAVEFORM_BLOCK
         rng = np.random.default_rng(1)
-        rec = Recording(rate_hz=10e9, channels=rng.normal(size=(3, 50)) * 1e-3)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["time_s", "ch1", "ch2", "ch3"])
-        for j in range(rec.n_samples):
-            writer.writerow([f"{j / rec.rate_hz:.12e}"] + [f"{v:.12e}" for v in rec.channels[:, j]])
-        path = tmp_path / "wave.csv"
-        dio.write_waveform_csv(path, rec)
-        assert path.read_bytes() == buf.getvalue().encode()
+        for n_channels in (1, 4, 6):
+            for n_samples in (block - 1, block, block + 1, 2 * block + 3):
+                # A strided view into a wider buffer, like the channels bandpass returns.
+                wide = rng.normal(size=(n_channels, n_samples + 7)) * 1e-3
+                wide[:, 3:7] = [-0.0, 5e-324, 1.7e308, -1.7e308]
+                channels = wide[:, 3 : 3 + n_samples]
+                assert n_channels == 1 or not channels.flags.c_contiguous
+                rec = Recording(rate_hz=10e9, channels=channels)
+                buf = io.StringIO()
+                writer = csv.writer(buf)
+                writer.writerow(["time_s"] + [f"ch{i + 1}" for i in range(n_channels)])
+                for j in range(rec.n_samples):
+                    writer.writerow(
+                        [f"{j / rec.rate_hz:.12e}"] + [f"{v:.12e}" for v in rec.channels[:, j]]
+                    )
+                path = tmp_path / f"wave_{n_channels}_{n_samples}.csv"
+                dio.write_waveform_csv(path, rec)
+                assert path.read_bytes() == buf.getvalue().encode(), (n_channels, n_samples)
 
 
 class TestReportFiles:
@@ -163,3 +173,43 @@ class TestReportFiles:
         assert lines[0] == "theta_true_deg,theta_hat_deg,error_deg,success"
         assert lines[1].endswith(",1")
         assert lines[2].endswith(",0")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(
+            lambda path: dio.write_waveform_csv(
+                path, Recording(rate_hz=1e9, channels=np.ones((2, 3000)))
+            ),
+            id="waveform_csv",
+        ),
+        pytest.param(
+            lambda path: dio.write_sweep_json(
+                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),))
+            ),
+            id="sweep_json",
+        ),
+    ],
+)
+def test_failed_rename_keeps_target_and_removes_temp_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.dat"
+    path.write_bytes(b"previous contents")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(dio.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write(path)
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dat"]
+
+
+def test_failed_write_keeps_target_and_removes_temp_file(tmp_path):
+    path = tmp_path / "trials.csv"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(ValueError):
+        dio.write_trials_csv(path, [TrialReport("not a number", 0.0, 0.0, True)])
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
