@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -56,17 +57,26 @@ class _atomic_open:
     """``with _atomic_open(path) as handle:`` writes text to a temp file
     beside ``path`` and renames it over ``path`` when the block ends.
 
-    On any exception the temp file is removed and ``path`` is untouched.
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    ``path`` keeps its own, a new one gets 0o666 less the umask. On any
+    exception the temp file is removed and ``path`` is untouched.
     """
 
     def __init__(self, path):
         self.path = Path(path)
 
     def __enter__(self):
+        try:
+            mode = stat.S_IMODE(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, self.tmp = tempfile.mkstemp(
             dir=self.path.parent or Path("."), prefix=self.path.name, suffix=".tmp"
         )
         try:
+            os.chmod(self.tmp, mode)
             self.handle = os.fdopen(fd, "w", newline="")
         except BaseException:
             os.close(fd)

@@ -11,7 +11,7 @@ carry the direction information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,6 +172,24 @@ def _fft_length(n_samples: int, n_taps: int) -> int:
     return min(sizes, key=lambda n: -(-n_samples // (n - n_taps + 1)) * n * math.log2(n))
 
 
+#: Bytes of block spectra and inverse blocks that ``bandpass`` holds at once.
+_GROUP_BYTES = 1 << 20
+
+
+def _block_plan(n_channels: int, n_samples: int, n_taps: int) -> tuple[int, int, int]:
+    """``(n_fft, n_blocks, group)`` of the overlap-add in ``bandpass``.
+
+    The record is cut into ``n_blocks`` blocks of ``n_fft - n_taps + 1``
+    samples, transformed ``group`` blocks at a time: as many as fit in
+    ``_GROUP_BYTES`` of spectra and inverse blocks, at least one and at
+    most all of them.
+    """
+    n_fft = _fft_length(n_samples, n_taps)
+    n_blocks = -(-n_samples // (n_fft - n_taps + 1))
+    block_bytes = n_channels * (2 * n_fft + 2) * 8
+    return n_fft, n_blocks, max(1, min(n_blocks, _GROUP_BYTES // block_bytes))
+
+
 def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     """Filter every channel with the same linear-phase FIR kernel.
 
@@ -190,54 +208,82 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     transform work for this record (see ``_fft_length``), so a record
     that fits in one good FFT length is filtered as a single block.
 
-    One call allocates one record-sized buffer: the block spectra, taken
-    straight from the record (``rfft`` zero-pads each block itself), then
-    the inverse blocks; the output is assembled over the spent spectra.
-    A 4 x 4096 record with 1001 taps takes 328 KB (164 KB of spectra,
-    164 KB of inverse blocks), plus the 8 KB kernel, its 41 KB spectrum
-    and numpy's buffer for the broadcast multiply. The peak matters
-    beyond its size: glibc returns a freed heap top to the system once
-    it reaches twice the largest mapped chunk freed so far, and the next
-    call faults those pages in again. One dominant buffer keeps a call
-    well below that line, where two equal ones would sit right on it.
-    The returned channels are a view of that buffer, so a kept result
-    holds all of it (328 KB for 131 KB of output at 4 x 4096 / 1001
-    taps); ``.copy()`` the channels to keep only the output.
+    The blocks go through in groups of about ``_GROUP_BYTES`` (see
+    ``_block_plan``). One buffer per call holds the C-contiguous output,
+    one group's spectra and inverse blocks, and the spill carried into
+    the next group; each group's stretch of the full convolution is
+    assembled over its spent spectra and copied into the output. So a
+    call takes its output plus a scratch that does not grow with the
+    record (557 KB at 4 x 200k / 1001 taps), and a short record is one
+    block in one buffer (491 KB at 4 x 4096 / 1001 taps, 131 KB of it
+    output). One dominant buffer keeps repeated calls from faulting:
+    glibc returns a freed heap top to the system only once it reaches
+    twice the largest mapped chunk freed so far. The returned channels
+    are a view of that buffer, so a kept result holds the scratch too;
+    ``.copy()`` the channels to keep only the output.
     """
     n_taps = spec.n_taps
-    n_channels, n_samples = rec.channels.shape
+    x = rec.channels
+    n_channels, n_samples = x.shape
     if n_samples < n_taps:
         raise ValueError(f"record length {n_samples} is shorter than the kernel ({n_taps})")
-    kernel = spec.kernel(rec.rate_hz)
+    n_fft, n_blocks, group = _block_plan(n_channels, n_samples, n_taps)
+    kernel_spectrum = np.fft.rfft(spec.kernel(rec.rate_hz), n_fft)
     spill = n_taps - 1
     delay = spill // 2
-    n_fft = _fft_length(n_samples, n_taps)
     step = n_fft - spill
-    n_blocks = -(-n_samples // step)
-    # The spectra first, then the inverse blocks, in one buffer.
-    n_spectra = n_channels * n_blocks * (n_fft + 2)
-    buf = np.empty(n_spectra + n_channels * n_blocks * n_fft)
-    spectra = buf[:n_spectra].view(complex).reshape(n_channels, n_blocks, n_fft // 2 + 1)
-    blocks = buf[n_spectra:].reshape(n_channels, n_blocks, n_fft)
-    # Every block but the last is whole; the last holds the 1..step
-    # samples left over.
-    head = (n_blocks - 1) * step
-    whole = rec.channels[:, :head].reshape(n_channels, n_blocks - 1, step)
-    np.fft.rfft(whole, n_fft, out=spectra[:, :-1])
-    np.fft.rfft(rec.channels[:, head:], n_fft, out=spectra[:, -1])
-    spectra *= np.fft.rfft(kernel, n_fft)
-    np.fft.irfft(spectra, n_fft, out=blocks)
-    # The full convolution, over the spectra (it is shorter than they
-    # are): each block's first step samples, the last block's spill, and
-    # every other spill added onto the head of the next block.
-    body = n_blocks * step
-    full = buf[: n_channels * (body + spill)].reshape(n_channels, body + spill)
-    full[:, :body].reshape(n_channels, n_blocks, step)[...] = blocks[:, :, :step]
-    full[:, body:] = blocks[:, -1, step:]
-    later = full[:, step:body].reshape(n_channels, n_blocks - 1, step)
-    later[:, :, :spill] += blocks[:, :-1, step:]
-    filtered = full[:, delay : delay + n_samples]
-    return replace(rec, channels=filtered)
+    n_bins = n_fft // 2 + 1
+    # The output, then the group's spectra, its inverse blocks and the
+    # spill carried to the next group, in one buffer.
+    n_out = n_channels * n_samples
+    n_spectra = n_channels * group * 2 * n_bins
+    buf = np.empty(n_out + n_spectra + n_channels * (group * n_fft + spill))
+    out = buf[:n_out].reshape(n_channels, n_samples)
+    spectra_buf = buf[n_out : n_out + n_spectra]
+    blocks_buf = buf[n_out + n_spectra : buf.size - n_channels * spill]
+    carry = buf[buf.size - n_channels * spill :].reshape(n_channels, spill)
+    for first in range(0, n_blocks, group):
+        last = min(first + group, n_blocks)
+        size = last - first
+        spectra = spectra_buf[: n_channels * size * 2 * n_bins]
+        spectra = spectra.view(complex).reshape(n_channels, size, n_bins)
+        blocks = blocks_buf[: n_channels * size * n_fft].reshape(n_channels, size, n_fft)
+        # Every block but the record's last is whole; the last holds the
+        # 1..step samples left over.
+        whole = min(last, n_blocks - 1) - first
+        if whole:
+            head = x[:, first * step : (first + whole) * step]
+            np.fft.rfft(head.reshape(n_channels, whole, step), n_fft, out=spectra[:, :whole])
+        if whole < size:
+            np.fft.rfft(x[:, (n_blocks - 1) * step :], n_fft, out=spectra[:, -1])
+        # Row by row: a broadcast multiply would allocate numpy's buffer.
+        for row in spectra.reshape(-1, n_bins):
+            row *= kernel_spectrum
+        np.fft.irfft(spectra, n_fft, out=blocks)
+        # The group's stretch of the full convolution, over the spent
+        # spectra: each block's first step samples, the last block's
+        # spill, every other spill added onto the head of the next
+        # block, and the previous group's spill onto the first head.
+        full = spectra_buf[: n_channels * (size * step + spill)]
+        full = full.reshape(n_channels, size * step + spill)
+        full[:, : size * step].reshape(n_channels, size, step)[...] = blocks[:, :, :step]
+        full[:, size * step :] = blocks[:, -1, step:]
+        later = full[:, step : size * step].reshape(n_channels, size - 1, step)
+        later[:, :, :spill] += blocks[:, :-1, step:]
+        if first:
+            full[:, :spill] += carry
+        carry[...] = full[:, size * step :]
+        # Full convolution sample t is output sample t - delay. A spill
+        # is complete only once the next group has added its head.
+        start = first * step - delay
+        stop = min(last * step + (spill if last == n_blocks else 0) - delay, n_samples)
+        out[:, max(start, 0) : stop] = full[:, max(-start, 0) : stop - start]
+    # A finite record filters to finite samples, short of overflow near
+    # the float64 limit, which detect_pulse rejects; so the result skips
+    # Recording's validation pass.
+    filtered = object.__new__(Recording)
+    filtered.__dict__.update(rate_hz=rec.rate_hz, channels=out)
+    return filtered
 
 
 def detect_pulse(
@@ -258,13 +304,25 @@ def detect_pulse(
     Raises:
         NoPulseFoundError: peak magnitude below the threshold (or an
             all-zero record).
+        ValueError: a non-finite sample, which ``bandpass`` leaves when
+            a record near the float64 limit overflows.
     """
     if k_sigma <= 0.0:
         raise ValueError(f"k_sigma must be > 0, got {k_sigma}")
     data = rec.channels
-    flat_peak = int(np.argmax(np.abs(data)))
+    # The largest magnitude is the largest or the smallest sample; on a
+    # tie the earlier one in flat (channel, sample) order wins, as it
+    # would for argmax(|data|), with no record-sized |data| built.
+    flat_peak = min(
+        (int(np.argmax(data)), int(np.argmin(data))),
+        key=lambda i: (-abs(float(data.flat[i])), i),
+    )
     channel, peak_idx = np.unravel_index(flat_peak, data.shape)
     peak = abs(float(data[channel, peak_idx]))
+    # argmax and argmin return a NaN or an infinity whenever the record
+    # holds one, so any non-finite sample shows here.
+    if not math.isfinite(peak):
+        raise ValueError(f"record has a non-finite sample ({peak}) in channel {channel}")
 
     head = data[channel, : max(2, rec.n_samples // 10)]
     threshold = k_sigma * float(np.std(head))

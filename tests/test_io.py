@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -213,3 +215,23 @@ def test_failed_write_keeps_target_and_removes_temp_file(tmp_path):
         dio.write_trials_csv(path, [TrialReport("not a number", 0.0, 0.0, True)])
     assert path.read_bytes() == b"previous contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
+
+
+# A written file gets the mode ``open(path, "w")`` would give it: a new
+# file 0o666 less the umask, a rewritten one the mode it already had.
+@pytest.mark.parametrize(
+    "umask, new_mode",
+    [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)],
+    ids=["umask022", "umask027", "umask077"],
+)
+def test_written_file_mode_follows_umask_and_existing_target(tmp_path, umask, new_mode):
+    path = tmp_path / "pattern.csv"
+    old_umask = os.umask(umask)
+    try:
+        dio.write_pattern_csv(path, DEFAULT_PATTERN)
+        assert stat.S_IMODE(path.stat().st_mode) == new_mode
+        os.chmod(path, 0o604)
+        dio.write_pattern_csv(path, DEFAULT_PATTERN)
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604

@@ -1,5 +1,7 @@
 """Tests for the recorded-waveform processing stages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from dirmusic.pipeline import (
     FilterSpec,
     NoPulseFoundError,
     Recording,
+    _block_plan,
     _fft_length,
     bandpass,
     detect_pulse,
@@ -72,6 +75,26 @@ def _csv_layout(channels):
     table = np.zeros((channels.shape[1], 1 + channels.shape[0]))
     table[:, 1:] = channels.T
     return table[:, 1:].T
+
+
+def _assert_layouts_agree(channels, spec):
+    """Both layouts match ``np.convolve`` to rounding and each other bit
+    for bit."""
+    _assert_matches_convolve(channels, spec)
+    expected = bandpass(Recording(RATE, channels), spec).channels
+    assert np.array_equal(bandpass(Recording(RATE, _csv_layout(channels)), spec).channels, expected)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the bytes allocated at its peak above what
+    was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _stream_pool(seed, size):
@@ -255,6 +278,41 @@ class TestBandpass:
         expected = bandpass(Recording(RATE, channels), spec).channels
         assert np.array_equal(bandpass(Recording(RATE, strided), spec).channels, expected)
 
+    # Records of 1, g, g + 1 and 2g + 1 blocks, where g is the number of
+    # blocks transformed at once: 31 of 1024 points for 2 channels at 101
+    # taps, 7 of 2048 points for 4 channels at 301 taps. Each count is
+    # tried with its last block whole and one sample short of it.
+    @pytest.mark.parametrize(
+        "n_channels, n_taps, n_fft, group", [(2, 101, 1024, 31), (4, 301, 2048, 7)]
+    )
+    @pytest.mark.parametrize("blocks", ["1", "g", "g+1", "2g+1"])
+    def test_group_edges(self, n_channels, n_taps, n_fft, group, blocks):
+        n_blocks = {"1": 1, "g": group, "g+1": group + 1, "2g+1": 2 * group + 1}[blocks]
+        step = n_fft - n_taps + 1
+        rng = np.random.default_rng(n_blocks)
+        for n_samples in (n_blocks * step - 1, n_blocks * step):
+            assert _block_plan(n_channels, n_samples, n_taps) == (n_fft, n_blocks, min(group, n_blocks))
+            channels = rng.normal(size=(n_channels, n_samples))
+            _assert_layouts_agree(channels, FilterSpec(n_taps=n_taps))
+
+    # A last group that is one block of a single sample, after one and
+    # after two whole groups of 31.
+    @pytest.mark.parametrize("n_blocks", [32, 63])
+    def test_last_group_of_one_sample(self, n_blocks):
+        n_samples = (n_blocks - 1) * 924 + 1
+        assert _block_plan(2, n_samples, 101) == (1024, n_blocks, 31)
+        channels = np.random.default_rng(n_blocks).normal(size=(2, n_samples))
+        _assert_layouts_agree(channels, FilterSpec(n_taps=101))
+
+    # The output plus a scratch that does not grow with the record: the
+    # benchmark's 4 x 200k CSV-layout record at 1001 taps.
+    def test_memory_is_output_plus_fixed_scratch(self):
+        channels = _csv_layout(np.random.default_rng(4).normal(size=(4, 200_000)))
+        rec = Recording(RATE, channels)
+        filtered, peak = _traced_peak(lambda: bandpass(rec, SHARP_FILTER))
+        assert filtered.channels.flags.c_contiguous
+        assert peak <= filtered.channels.nbytes + 2_000_000
+
     @pytest.mark.parametrize("n_samples", [500, 4096, 8192])
     def test_output_shares_no_memory_with_input(self, n_samples):
         channels = np.random.default_rng(2).normal(size=(3, n_samples))
@@ -317,6 +375,18 @@ class TestDetectPulse:
             channels[channel, index] = value
         window = detect_pulse(Recording(RATE, channels))
         assert (window.channel, window.start) == expected
+
+    # A record near the float64 limit overflows in the bandpass.
+    def test_overflowing_record_fails_before_the_estimator(self):
+        rec = Recording(RATE, np.full((4, 4096), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                process_recording(rec, FilterSpec(), DEFAULT_PATTERN, SUBSET4)
+
+    def test_search_makes_no_record_sized_temporary(self):
+        rec = Recording(RATE, np.random.default_rng(5).normal(size=(4, 200_000)))
+        _, peak = _traced_peak(lambda: detect_pulse(rec, k_sigma=1.0))
+        assert peak < rec.channels.nbytes // rec.n_channels
 
     def test_translation_covariance(self):
         base = make_recording(40.0, pulse_start=1200, snr_db=20.0, seed=9)
