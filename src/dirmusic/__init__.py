@@ -8,8 +8,6 @@ pulses can be located with small arrays and modest sample rates.
 from .estimator import (
     DoaEstimate,
     EigenPair,
-    SpatialSpectrum,
-    ambiguity_scan,
     angular_error,
     default_grid,
     eig_sym,

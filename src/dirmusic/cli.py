@@ -248,24 +248,22 @@ def cmd_estimate(args) -> int:
         high_hz=float(_pick(args.band_high_hz, config, "band_high_hz", 2.0e9)),
         n_taps=int(_pick(args.taps, config, "taps", 101)),
     )
+    array = cfg.array()
     result = process_recording(
-        rec,
-        spec,
-        cfg.pattern,
-        cfg.array(),
-        default_grid(cfg.grid_step_deg),
-        k_sigma=args.k_sigma,
+        rec, spec, cfg.pattern, array, default_grid(cfg.grid_step_deg), k_sigma=args.k_sigma
     )
     payload = {
         "schema_version": dio.SCHEMA_VERSION,
         "theta_hat_deg": result.estimate.angle_deg,
         "peak_value": result.estimate.peak_value,
-        "window_start_s": result.window.start / result.rate_hz,
-        "window_end_s": result.window.stop / result.rate_hz,
+        "window_start_s": result.window.start / rec.rate_hz,
+        "window_end_s": result.window.stop / rec.rate_hz,
         "detection_channel": result.window.channel + 1,
-        "filter_band_hz": list(result.filter_band_hz),
+        "filter_band_hz": [spec.low_hz, spec.high_hz],
+        "n_taps": spec.n_taps,
         "grid_step_deg": cfg.grid_step_deg,
-        "n_elements": result.n_elements,
+        "n_elements": array.n_elements,
+        "offsets_deg": list(array.offsets_deg),
         "snapshots_used": result.window.stop - result.window.start,
     }
     if args.out:

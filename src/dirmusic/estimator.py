@@ -6,7 +6,8 @@ then a spatial spectrum P(theta) = 1 / ||En^T g(theta)||^2 whose peak is
 the direction estimate. All arithmetic is real valued; the data are
 baseband voltage samples and the manifold carries gains, not phases.
 The eigendecomposition, noise subspace and spectrum stages also accept
-a stack of covariances, with the same result per matrix.
+a stack of covariances, with the same result per matrix. There is one
+source, so the noise subspace is always N - 1 dimensional.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .pattern import GaussianMixturePattern
 
 __all__ = [
     "EigenPair",
-    "SpatialSpectrum",
     "DoaEstimate",
     "default_grid",
     "sample_covariance",
@@ -29,7 +29,6 @@ __all__ = [
     "spatial_spectrum",
     "estimate_doa",
     "angular_error",
-    "ambiguity_scan",
 ]
 
 # Floor for the spectrum denominator; keeps P finite when a steering
@@ -54,24 +53,16 @@ class EigenPair:
 
 
 @dataclass(frozen=True)
-class SpatialSpectrum:
-    """Spectrum values over a grid of azimuths, all finite and positive."""
-
-    grid_deg: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class DoaEstimate:
     """Peak of the spatial spectrum.
 
     ``angle_deg`` is a member of the search grid; ties are broken toward
-    the smallest angle.
+    the smallest angle. ``spectrum`` holds the values over the grid.
     """
 
     angle_deg: float
     peak_value: float
-    spectrum: SpatialSpectrum
+    spectrum: np.ndarray
 
 
 def default_grid(step_deg: float = 1.0) -> np.ndarray:
@@ -128,40 +119,31 @@ def eig_sym(r) -> EigenPair:
     return EigenPair(values=values, vectors=vectors * signs)
 
 
-def noise_subspace(pair: EigenPair, n_sources: int = 1) -> np.ndarray:
-    """Eigenvectors of the N - n_sources smallest eigenvalues as columns.
+def noise_subspace(pair: EigenPair) -> np.ndarray:
+    """Eigenvectors of the N - 1 smallest eigenvalues as columns.
 
-    With one source, these are columns 2..N of the sorted decomposition;
-    the steering vector of the true direction is orthogonal to all of
-    them in the noiseless case. With ``n_sources == N`` (a single
-    element) the subspace is empty, shape (N, 0). A stacked pair gives
-    a stack of shape (..., N, N - n_sources).
+    These are columns 2..N of the sorted decomposition; for the single
+    source, the steering vector of the true direction is orthogonal to
+    all of them in the noiseless case. A single element gives an empty
+    subspace, shape (1, 0). A stacked pair gives a stack of shape
+    (..., N, N - 1).
     """
-    n = pair.values.shape[-1]
-    if not 1 <= n_sources <= n:
-        raise ValueError(f"n_sources must be in [1, {n}], got {n_sources}")
-    return pair.vectors[..., n_sources:]
+    return pair.vectors[..., 1:]
 
 
-def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray, grid_deg) -> SpatialSpectrum:
-    """Spectrum P(theta) = 1 / ||En^T g(theta)||^2 over a grid.
+def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray) -> np.ndarray:
+    """Spectrum P(theta) = 1 / ||En^T g(theta)||^2, one value per manifold column.
 
     ``manifold`` holds the nominal (unperturbed) steering vectors, one
     column per grid angle. ``noise_vectors`` is one (N, K) subspace or
     a stack of shape (..., N, K); the values then have shape (..., G).
-    An empty noise subspace gives a flat spectrum at 1 / floor.
+    Every value is finite and positive; an empty noise subspace gives a
+    flat spectrum at 1 / floor.
     """
-    grid = np.asarray(grid_deg, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("grid must not be empty")
-    if manifold.shape[1] != grid.size:
-        raise ValueError(
-            f"manifold has {manifold.shape[1]} columns but the grid has {grid.size} angles"
-        )
     projection = np.swapaxes(noise_vectors, -1, -2) @ manifold
     np.square(projection, out=projection)  # in place: a stack's projection is the largest array
     denom = np.maximum(projection.sum(axis=-2), _SPECTRUM_FLOOR)
-    return SpatialSpectrum(grid_deg=grid, values=1.0 / denom)
+    return 1.0 / denom
 
 
 def estimate_doa(
@@ -175,15 +157,13 @@ def estimate_doa(
     spectrum is flat and the estimate is the first grid angle: it
     carries no information, by design.
     """
-    grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float)
+    grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float).ravel()
     manifold = manifold_matrix(pattern, array, grid)
     noise_vectors = noise_subspace(eig_sym(sample_covariance(x)))
-    spectrum = spatial_spectrum(noise_vectors, manifold, grid)
-    peak = int(np.argmax(spectrum.values))  # argmax takes the first (smallest) angle on ties
+    spectrum = spatial_spectrum(noise_vectors, manifold)
+    peak = int(np.argmax(spectrum))  # argmax takes the first (smallest) angle on ties
     return DoaEstimate(
-        angle_deg=float(spectrum.grid_deg[peak]),
-        peak_value=float(spectrum.values[peak]),
-        spectrum=spectrum,
+        angle_deg=float(grid[peak]), peak_value=float(spectrum[peak]), spectrum=spectrum
     )
 
 
@@ -194,24 +174,3 @@ def angular_error(estimate_deg: float, true_deg: float) -> float:
     err = (float(estimate_deg) - float(true_deg)) % 360.0
     return err - 360.0 if err > 180.0 else err
 
-
-def ambiguity_scan(
-    pattern: GaussianMixturePattern, array: ArrayConfig, grid_deg=None
-) -> np.ndarray:
-    """Worst off-peak spectrum value per grid angle on noiseless data.
-
-    For each grid direction i, the noise subspace of exact data from i
-    is the orthogonal complement of g_i; entry i of the result is the
-    largest spectrum value over all other grid angles j != i. Large
-    entries flag directions whose gain vectors are nearly proportional
-    to another direction's, i.e. potential ambiguities of the gain-only
-    manifold. Diagnostic only; no uniqueness guarantee is implied.
-    """
-    grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float)
-    m = manifold_matrix(pattern, array, grid)
-    norms2 = (m**2).sum(axis=0)
-    unit = m / np.sqrt(norms2)
-    cos2 = (unit.T @ m) ** 2  # (i, j): squared projection of g_j on unit g_i
-    resid = np.maximum(norms2[None, :] - cos2, _SPECTRUM_FLOOR)
-    np.fill_diagonal(resid, np.inf)
-    return (1.0 / resid).max(axis=1)

@@ -94,6 +94,8 @@ class TrialConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.success_threshold_deg <= 0.0:
             raise ValueError(
                 f"success_threshold_deg must be > 0, got {self.success_threshold_deg}"
@@ -192,9 +194,8 @@ def _run_trials(cfg: TrialConfig, draws) -> list[TrialReport]:
     peaks = np.empty(len(draws), dtype=np.intp)
     for start in range(0, len(draws), _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        spectrum = spatial_spectrum(noise[block], manifold, grid)
         # argmax takes the first (smallest) angle on ties
-        peaks[block] = np.argmax(spectrum.values, axis=-1)
+        peaks[block] = np.argmax(spatial_spectrum(noise[block], manifold), axis=-1)
     estimates = grid[peaks]
     reports = []
     for (theta, _), theta_hat in zip(draws, estimates):

@@ -261,15 +261,16 @@ def write_sweep_csv(path, report: SweepReport) -> None:
         writer.writerows(record.values() for record in _sweep_records(report))
 
 
-def write_sweep_json(path, report: SweepReport, config_meta: dict | None = None) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "setting_name": report.setting_name,
-        "rows": _sweep_records(report),
-    }
-    if config_meta:
-        payload["config"] = config_meta
-    write_json(path, payload)
+def write_sweep_json(path, report: SweepReport, config_meta: dict) -> None:
+    write_json(
+        path,
+        {
+            "schema_version": SCHEMA_VERSION,
+            "setting_name": report.setting_name,
+            "rows": _sweep_records(report),
+            "config": config_meta,
+        },
+    )
 
 
 def write_trials_csv(path, trials: list[TrialReport]) -> None:

@@ -29,6 +29,9 @@ __all__ = [
 # the Jacobian well conditioned.
 _MIN_WIDTH_DEG = 1.0
 _MAX_CENTER_DEG = 360.0 - 1e-9
+#: Width of every seeded lobe, and the fit's budget of residual evaluations.
+_INIT_WIDTH_DEG = 60.0
+_MAX_NFEV = 200
 
 
 def wrap_angle(theta_deg):
@@ -179,13 +182,13 @@ class PatternFit:
     residual: float
 
 
-def _initial_params(x: np.ndarray, y: np.ndarray, k: int, width_deg: float) -> np.ndarray:
+def _initial_params(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Greedy residual-peak seeding.
 
     Places lobes one at a time at the largest remaining residual sample
-    (amplitude from the residual there, default width), so overlapping
-    bumps that do not show up as separate local maxima still receive a
-    component each.
+    (amplitude from the residual there, width ``_INIT_WIDTH_DEG``), so
+    overlapping bumps that do not show up as separate local maxima still
+    receive a component each.
     """
     resid = y.astype(float).copy()
     rows = []
@@ -193,19 +196,12 @@ def _initial_params(x: np.ndarray, y: np.ndarray, k: int, width_deg: float) -> n
         j = int(np.argmax(resid))
         a0 = max(float(resid[j]), 1e-6)
         b0 = float(x[j])
-        rows.append((a0, b0, width_deg))
-        resid -= a0 * np.exp(-(((x - b0) / width_deg) ** 2))
+        rows.append((a0, b0, _INIT_WIDTH_DEG))
+        resid -= a0 * np.exp(-(((x - b0) / _INIT_WIDTH_DEG) ** 2))
     return np.asarray(rows, dtype=float).ravel()
 
 
-def fit_pattern(
-    angles_deg,
-    gains,
-    n_components: int = 3,
-    *,
-    max_iter: int = 200,
-    init_width_deg: float = 60.0,
-) -> PatternFit:
+def fit_pattern(angles_deg, gains, n_components: int = 3) -> PatternFit:
     """Fit a Gaussian mixture to measured (angle, gain) samples.
 
     Minimizes the sum of squared residuals with scipy's trust-region
@@ -216,8 +212,6 @@ def fit_pattern(
         angles_deg: sample angles in degrees (wrapped internally).
         gains: measured gains, same length, all finite.
         n_components: number of Gaussian lobes to fit.
-        max_iter: budget of residual evaluations.
-        init_width_deg: width used when seeding lobes.
 
     Raises:
         ValueError: fewer than 3 * n_components samples, duplicated
@@ -243,7 +237,7 @@ def fit_pattern(
 
     lower = np.tile([0.0, 0.0, _MIN_WIDTH_DEG], n_components)
     upper = np.tile([np.inf, _MAX_CENTER_DEG, np.inf], n_components)
-    start = np.clip(_initial_params(x, y, n_components, init_width_deg), lower, upper)
+    start = np.clip(_initial_params(x, y, n_components), lower, upper)
     result = least_squares(
         lambda p: gaussian_sum(x, p) - y,
         start,
@@ -251,7 +245,7 @@ def fit_pattern(
         bounds=(lower, upper),
         method="trf",
         gtol=1e-12,  # the default 1e-8 stops noise-free fits at ~1e-12 RMSE
-        max_nfev=max_iter,
+        max_nfev=_MAX_NFEV,
     )
     return PatternFit(
         pattern=GaussianMixturePattern.from_params(result.x.reshape(-1, 3)),

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+#: Window margins around the detected peak, before and after it.
+_PRE_MARGIN_S = 5e-9
+_POST_MARGIN_S = 20e-9
+
+
 class NoPulseFoundError(RuntimeError):
     """No sample exceeded the detection threshold."""
 
@@ -152,9 +157,6 @@ class PipelineResult:
 
     estimate: DoaEstimate
     window: PulseWindow
-    rate_hz: float
-    filter_band_hz: tuple[float, float]
-    n_elements: int
 
 
 def _fft_length(n_samples: int, n_taps: int) -> int:
@@ -286,29 +288,26 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     return filtered
 
 
-def detect_pulse(
-    rec: Recording,
-    k_sigma: float = 5.0,
-    *,
-    pre_margin_s: float = 5e-9,
-    post_margin_s: float = 20e-9,
-) -> PulseWindow:
+def detect_pulse(rec: Recording, k_sigma: float = 5.0) -> PulseWindow:
     """Locate the strongest pulse and return a window around it.
 
     The global maximum magnitude across channels marks the pulse; the
     detection threshold is k_sigma times the noise standard deviation
     estimated from the first 10% of that channel (which assumes the
     pulse does not sit at the very start of the record). With several
-    pulses present, the largest one wins.
+    pulses present, the largest one wins. The window runs from
+    ``_PRE_MARGIN_S`` before the peak to ``_POST_MARGIN_S`` after it,
+    clipped to the record.
 
     Raises:
         NoPulseFoundError: peak magnitude below the threshold (or an
             all-zero record).
-        ValueError: a non-finite sample, which ``bandpass`` leaves when
-            a record near the float64 limit overflows.
+        ValueError: ``k_sigma`` not finite and > 0, or a non-finite
+            sample, which ``bandpass`` leaves when a record near the
+            float64 limit overflows.
     """
-    if k_sigma <= 0.0:
-        raise ValueError(f"k_sigma must be > 0, got {k_sigma}")
+    if not (math.isfinite(k_sigma) and k_sigma > 0.0):
+        raise ValueError(f"k_sigma must be finite and > 0, got {k_sigma}")
     data = rec.channels
     # The largest magnitude is the largest or the smallest sample; on a
     # tie the earlier one in flat (channel, sample) order wins, as it
@@ -331,8 +330,8 @@ def detect_pulse(
             f"peak magnitude {peak:.3g} below detection threshold {threshold:.3g}"
         )
 
-    pre = int(round(pre_margin_s * rec.rate_hz))
-    post = int(round(post_margin_s * rec.rate_hz))
+    pre = int(round(_PRE_MARGIN_S * rec.rate_hz))
+    post = int(round(_POST_MARGIN_S * rec.rate_hz))
     start = max(0, peak_idx - pre)
     stop = min(rec.n_samples, peak_idx + post + 1)
     return PulseWindow(start=start, stop=stop, channel=int(channel), threshold=threshold)
@@ -360,8 +359,6 @@ def process_recording(
     grid_deg=None,
     *,
     k_sigma: float = 5.0,
-    pre_margin_s: float = 5e-9,
-    post_margin_s: float = 20e-9,
 ) -> PipelineResult:
     """Bandpass, intercept the pulse, normalize, estimate the direction.
 
@@ -374,15 +371,6 @@ def process_recording(
             f"{array.n_elements} elements"
         )
     filtered = bandpass(rec, filter_spec)
-    window = detect_pulse(
-        filtered, k_sigma, pre_margin_s=pre_margin_s, post_margin_s=post_margin_s
-    )
+    window = detect_pulse(filtered, k_sigma)
     snapshots = normalize_bipolar(filtered.channels[:, window.start : window.stop])
-    estimate = estimate_doa(snapshots, pattern, array, grid_deg)
-    return PipelineResult(
-        estimate=estimate,
-        window=window,
-        rate_hz=rec.rate_hz,
-        filter_band_hz=(filter_spec.low_hz, filter_spec.high_hz),
-        n_elements=array.n_elements,
-    )
+    return PipelineResult(estimate=estimate_doa(snapshots, pattern, array, grid_deg), window=window)

@@ -224,7 +224,7 @@ def test_criterion_6_noise_free_exactness():
         estimate = estimate_doa(snapshots, DEFAULT_PATTERN, array, grid)
         if estimate.angle_deg != theta:
             wrong.append((theta, estimate.angle_deg))
-        en = noise_subspace(eig_sym(sample_covariance(snapshots)), 1)
+        en = noise_subspace(eig_sym(sample_covariance(snapshots)))
         residual = np.linalg.norm(en.T @ gains) / np.linalg.norm(gains)
         worst_residual = max(worst_residual, float(residual))
     checks = [

@@ -248,14 +248,44 @@ class TestEstimate:
         code = main(["estimate", str(wave), "--elements", "6"])
         assert code == EXIT_PARSE
 
-    def test_no_pulse_exit_code(self, tmp_path):
+    @staticmethod
+    def _write_noise(path):
         rng = np.random.default_rng(0)
-        wave = tmp_path / "noise.csv"
         dio.write_waveform_csv(
-            wave, Recording(rate_hz=10e9, channels=rng.normal(size=(4, 4096)))
+            path, Recording(rate_hz=10e9, channels=rng.normal(size=(4, 4096)))
         )
+
+    def test_no_pulse_exit_code(self, tmp_path):
+        wave = tmp_path / "noise.csv"
+        self._write_noise(wave)
         code = main(["estimate", str(wave), "--offsets", "0,60,120,180", "--taps", "1001"])
         assert code == EXIT_NO_PULSE
+
+    @pytest.mark.parametrize("k_sigma", ["nan", "inf", "0", "-1"])
+    def test_invalid_k_sigma_is_parse_error(self, tmp_path, capsys, k_sigma):
+        # pure noise: a threshold that never fires would report a direction
+        wave = tmp_path / "noise.csv"
+        self._write_noise(wave)
+        code = main(["estimate", str(wave), "--offsets", "0,60,120,180", "--k-sigma", k_sigma])
+        assert code == EXIT_PARSE
+        assert "k_sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layout, offsets",
+        [
+            (["--offsets", "0,60,120,180"], [0.0, 60.0, 120.0, 180.0]),
+            (["--elements", "4"], [0.0, 90.0, 180.0, 270.0]),
+        ],
+    )
+    def test_records_taps_and_offsets(self, tmp_path, layout, offsets):
+        wave = tmp_path / "wave.csv"
+        _write_recording(wave)
+        out = tmp_path / "result.json"
+        code = main(["estimate", str(wave), *layout, "--taps", "501", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["n_taps"] == 501
+        assert payload["offsets_deg"] == offsets
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

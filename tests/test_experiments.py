@@ -183,6 +183,7 @@ class TestTrialConfig:
             ("manifold_error", float("nan")),
             ("success_threshold_deg", float("nan")),
             ("n_elements", 0),
+            ("seed", -1),
         ],
     )
     def test_invalid_field_is_named(self, field, value):

@@ -188,7 +188,7 @@ class TestReportFiles:
         ),
         pytest.param(
             lambda path: dio.write_sweep_json(
-                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),))
+                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),)), {}
             ),
             id="sweep_json",
         ),

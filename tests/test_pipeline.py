@@ -397,11 +397,13 @@ class TestDetectPulse:
 
     def test_margins_respect_record_bounds(self):
         # pulse past the noise-estimation head but closer to the edges
-        # than the margins reach
-        rec = make_recording(40.0, pulse_start=65, n_samples=600)
-        window = detect_pulse(rec, pre_margin_s=10e-9, post_margin_s=60e-9)
+        # than the margins reach: the peak sits 44 samples in and 196
+        # from the end, inside the 50 before and 200 after it
+        rec = make_recording(40.0, pulse_start=40, n_samples=400)
+        rec = Recording(RATE, rec.channels[:, :240])
+        window = detect_pulse(rec)
         assert window.start == 0
-        assert window.stop == 600
+        assert window.stop == 240
 
 
 class TestNormalizeBipolar:
@@ -441,7 +443,6 @@ class TestProcessRecording:
         rec = make_recording(93.0)
         result = process_recording(rec, SHARP_FILTER, DEFAULT_PATTERN, SUBSET4)
         assert result.estimate.angle_deg == 93.0
-        assert result.n_elements == 4
 
     def test_noisy_with_interference_tone(self):
         rec = make_recording(93.0, snr_db=10.0, tone_amplitude=0.02, seed=21)
