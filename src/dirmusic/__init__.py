@@ -21,8 +21,8 @@ from .experiments import (
     SummaryStats,
     SweepReport,
     SweepRow,
+    TrialBatch,
     TrialConfig,
-    TrialReport,
     run_batch,
     run_element_sweep,
     run_manifold_error_sweep,

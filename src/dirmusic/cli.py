@@ -181,9 +181,9 @@ def cmd_manifold(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config) if args.config else {}
     cfg = _trial_config(args, config)
-    trials = run_batch(cfg)
-    stats = summarize(trials)
-    dio.write_trials_csv(f"{args.out}_trials.csv", trials)
+    batch = run_batch(cfg)
+    stats = summarize(batch)
+    dio.write_trials_csv(f"{args.out}_trials.csv", batch)
     dio.write_json(
         f"{args.out}_summary.json",
         {

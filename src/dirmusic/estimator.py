@@ -167,10 +167,13 @@ def estimate_doa(
     )
 
 
-def angular_error(estimate_deg: float, true_deg: float) -> float:
-    """Signed circular difference estimate - truth, mapped to (-180, 180]."""
-    if not (np.isfinite(estimate_deg) and np.isfinite(true_deg)):
+def angular_error(estimate_deg, true_deg):
+    """Signed circular difference estimate - truth, mapped to (-180, 180], elementwise."""
+    est = np.asarray(estimate_deg, dtype=float)
+    true = np.asarray(true_deg, dtype=float)
+    if not (np.isfinite(est).all() and np.isfinite(true).all()):
         raise ValueError("angles must be finite")
-    err = (float(estimate_deg) - float(true_deg)) % 360.0
-    return err - 360.0 if err > 180.0 else err
+    err = np.remainder(est - true, 360.0)
+    err = np.where(err > 180.0, err - 360.0, err)
+    return float(err) if err.ndim == 0 else err
 

@@ -40,7 +40,7 @@ from .signal import (
 __all__ = [
     "DEFAULT_SEED",
     "TrialConfig",
-    "TrialReport",
+    "TrialBatch",
     "SummaryStats",
     "SweepRow",
     "SweepReport",
@@ -115,13 +115,21 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class TrialReport:
-    """Outcome of one simulated direction-finding run."""
+class TrialBatch:
+    """Outcomes of simulated direction-finding runs, one array entry per
+    trial: angles and errors in degrees, and a boolean success flag.
+    Batches are equal when every array holds the same values."""
 
-    theta_true_deg: float
-    theta_hat_deg: float
-    error_deg: float
-    success: bool
+    theta_true_deg: np.ndarray
+    theta_hat_deg: np.ndarray
+    error_deg: np.ndarray
+    success: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialBatch):
+            return NotImplemented
+        pairs = zip(vars(self).values(), vars(other).values())
+        return all(np.array_equal(a, b) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -158,27 +166,30 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _run_trials(cfg: TrialConfig, draws) -> list[TrialReport]:
-    """Simulate one trial per ``(theta_true_deg, rng)`` pair.
+def _run_trials(cfg: TrialConfig, thetas, rngs) -> TrialBatch:
+    """Simulate one trial per direction in ``thetas``; trial j draws from ``rngs[j]``.
 
-    The grid, array, manifold and pulse are built once. Each trial then
-    draws from its own generator in a fixed order, the gain error (only
-    when ``cfg.manifold_error > 0``) and then the noise, and keeps only
-    the eigendecomposition of its sample covariance. The spectrum is then
-    scanned over the stack in blocks of ``_SCAN_BLOCK`` trials, so the
-    memory it takes does not grow with the batch; synthesis uses the
-    (optionally perturbed) gain vector, the scan the nominal manifold.
+    The grid, array, manifold, pulse and steering vectors are built once.
+    Each trial then draws from its own generator in a fixed order, the
+    gain error (only when ``cfg.manifold_error > 0``) and then the noise,
+    and keeps only the eigendecomposition of its sample covariance. The
+    spectrum is then scanned over the stack in blocks of ``_SCAN_BLOCK``
+    trials, so the memory it takes does not grow with the batch;
+    synthesis uses the (optionally perturbed) gain vector, the scan the
+    nominal manifold.
     """
     grid = default_grid(cfg.grid_step_deg)
     array = cfg.array()
     manifold = manifold_matrix(cfg.pattern, array, grid)
     pulse_samples = pd_pulse(cfg.pulse, cfg.sampling)
+    theta_true = np.asarray(thetas, dtype=float)
+    steering = steering_vector(cfg.pattern, array, theta_true)
 
     n = array.n_elements
-    values = np.empty((len(draws), n))
-    vectors = np.empty((len(draws), n, n))
-    for j, (theta, rng) in enumerate(draws):
-        gains = steering_vector(cfg.pattern, array, theta)
+    values = np.empty((len(rngs), n))
+    vectors = np.empty((len(rngs), n, n))
+    for j, rng in enumerate(rngs):
+        gains = steering[j]
         if cfg.manifold_error > 0.0:
             gains = perturb(gains, cfg.manifold_error, rng)
         # No name holds the record, so it is freed before the next trial's.
@@ -191,66 +202,52 @@ def _run_trials(cfg: TrialConfig, draws) -> list[TrialReport]:
         values[j], vectors[j] = pair.values, pair.vectors
 
     noise = noise_subspace(EigenPair(values, vectors))
-    peaks = np.empty(len(draws), dtype=np.intp)
-    for start in range(0, len(draws), _SCAN_BLOCK):
+    peaks = np.empty(len(rngs), dtype=np.intp)
+    for start in range(0, len(rngs), _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
         # argmax takes the first (smallest) angle on ties
         peaks[block] = np.argmax(spatial_spectrum(noise[block], manifold), axis=-1)
-    estimates = grid[peaks]
-    reports = []
-    for (theta, _), theta_hat in zip(draws, estimates):
-        error = angular_error(theta_hat, theta)
-        if cfg.inclusive_success:
-            success = abs(error) <= cfg.success_threshold_deg
-        else:
-            success = abs(error) < cfg.success_threshold_deg
-        reports.append(
-            TrialReport(
-                theta_true_deg=float(theta),
-                theta_hat_deg=float(theta_hat),
-                error_deg=error,
-                success=success,
-            )
-        )
-    return reports
+    theta_hat = grid[peaks]
+    error = angular_error(theta_hat, theta_true)
+    compare = np.less_equal if cfg.inclusive_success else np.less
+    success = compare(np.abs(error), cfg.success_threshold_deg)
+    return TrialBatch(theta_true, theta_hat, error, success)
 
 
-def run_trial(cfg: TrialConfig, theta_true_deg: float, rng: np.random.Generator) -> TrialReport:
+def run_trial(cfg: TrialConfig, theta_true_deg: float, rng: np.random.Generator) -> TrialBatch:
     """Simulate one direction-finding run from a given direction, as a
     batch of one; ``rng`` supplies the gain error and the noise."""
-    return _run_trials(cfg, [(theta_true_deg, rng)])[0]
+    return _run_trials(cfg, [theta_true_deg], [rng])
 
 
-def run_batch(cfg: TrialConfig) -> list[TrialReport]:
+def run_batch(cfg: TrialConfig) -> TrialBatch:
     """Run ``cfg.n_trials`` trials with directions drawn from U[1, 360].
 
     The master seed is split into one child seed per trial; trial j is
     fully determined by (cfg, j): its generator draws the direction
     first, then whatever :func:`run_trial` draws.
     """
-    draws = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials):
-        rng = np.random.default_rng(child)
-        if cfg.integer_directions:
-            theta = float(rng.integers(1, 361))
-        else:
-            theta = rng.uniform(1.0, 360.0)
-        draws.append((theta, rng))
-    return _run_trials(cfg, draws)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)
+    rngs = [np.random.default_rng(child) for child in children]
+    if cfg.integer_directions:
+        thetas = [float(rng.integers(1, 361)) for rng in rngs]
+    else:
+        thetas = [rng.uniform(1.0, 360.0) for rng in rngs]
+    return _run_trials(cfg, thetas, rngs)
 
 
-def summarize(trials) -> SummaryStats:
-    """Aggregate statistics of a list of :class:`TrialReport`.
+def summarize(batch: TrialBatch) -> SummaryStats:
+    """Aggregate statistics of a :class:`TrialBatch`.
 
     Accuracy is the mean of the per-trial success flags, so it honors
     the configured success comparison.
     """
-    if len(trials) == 0:
-        raise ValueError("cannot summarize an empty trial list")
-    err = np.array([t.error_deg for t in trials], dtype=float)
+    err = batch.error_deg
+    if err.size == 0:
+        raise ValueError("cannot summarize an empty batch")
     return SummaryStats(
         n=int(err.size),
-        accuracy=float(np.mean([t.success for t in trials])),
+        accuracy=float(np.mean(batch.success)),
         mean=float(err.mean()),
         variance=float(err.var()),
         std=float(err.std()),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SweepReport, TrialReport
+from .experiments import SweepReport, TrialBatch
 from .pattern import GaussianMixturePattern
 from .pipeline import Recording
 
@@ -273,19 +273,14 @@ def write_sweep_json(path, report: SweepReport, config_meta: dict) -> None:
     )
 
 
-def write_trials_csv(path, trials: list[TrialReport]) -> None:
+def write_trials_csv(path, batch: TrialBatch) -> None:
     with _atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(_TRIALS_HEADER)
-        for t in trials:
-            writer.writerow(
-                [
-                    repr(float(t.theta_true_deg)),
-                    repr(float(t.theta_hat_deg)),
-                    repr(float(t.error_deg)),
-                    int(t.success),
-                ]
-            )
+        for *angles, ok in zip(
+            batch.theta_true_deg, batch.theta_hat_deg, batch.error_deg, batch.success
+        ):
+            writer.writerow([repr(float(a)) for a in angles] + [int(ok)])
 
 
 def write_json(path, payload: dict) -> None:

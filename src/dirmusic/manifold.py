@@ -54,15 +54,16 @@ class ArrayConfig:
 
 
 def steering_vector(
-    pattern: GaussianMixturePattern, array: ArrayConfig, theta_deg: float
+    pattern: GaussianMixturePattern, array: ArrayConfig, theta_deg
 ) -> np.ndarray:
     """Per-element gains for a wave arriving from ``theta_deg``.
 
     Entry k equals the element pattern evaluated at theta + offset_k
-    (wrapped into [0, 360)). All entries are nonnegative.
+    (wrapped into [0, 360)). All entries are nonnegative. An array of
+    directions of shape S gives gains of shape S + (n_elements,).
     """
     offsets = np.asarray(array.offsets_deg)
-    return eval_pattern(pattern, np.asarray(theta_deg, dtype=float) + offsets)
+    return eval_pattern(pattern, np.asarray(theta_deg, dtype=float)[..., None] + offsets)
 
 
 def manifold_matrix(

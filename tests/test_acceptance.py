@@ -15,6 +15,7 @@ covered in tests/test_published_protocol.py and the README.
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -44,11 +45,22 @@ FAST_SPEC = SamplingSpec(rate_hz=10e9, n_samples=512)  # noise-free checks
 
 
 def _accuracy(batch):
-    return float(np.mean([t.success for t in batch]))
+    return float(np.mean(batch.success))
 
 
 def _errors(batch):
-    return np.asarray([t.error_deg for t in batch])
+    return batch.error_deg
+
+
+def _scatter(batch, low=-math.inf, high=math.inf):
+    """Detail for an accuracy band check: the binomial standard error
+    sqrt(p (1 - p) / n) and the signed distance to the nearer band edge
+    in standard errors, positive inside the band."""
+    p, n = _accuracy(batch), batch.success.size
+    se = math.sqrt(p * (1.0 - p) / n)
+    margin = min(p - low, high - p)
+    distance = margin / se if se > 0.0 else math.copysign(math.inf, margin)
+    return f"; SE {se:.4f}, {distance:+.1f} SE from band edge"
 
 
 def _criterion(name, checks):
@@ -98,19 +110,28 @@ def snr_batches_4el(batch):
 
 
 def test_criterion_1_snr_accuracy_6_elements(snr_batches_6el):
-    acc = {snr: _accuracy(batch) for snr, batch in snr_batches_6el.items()}
+    batches = snr_batches_6el
+    acc = {snr: _accuracy(batch) for snr, batch in batches.items()}
     checks = [
-        (f"accuracy at {snr} dB", acc[snr] >= 0.98, f"{acc[snr]:.4f} (need >= 0.98)")
+        (
+            f"accuracy at {snr} dB",
+            acc[snr] >= 0.98,
+            f"{acc[snr]:.4f} (need >= 0.98)" + _scatter(batches[snr], low=0.98),
+        )
         for snr in (10, 5, 0)
     ]
     checks.append(
-        ("accuracy at -5 dB", 0.9717 <= acc[-5], f"{acc[-5]:.4f} (need 0.9917 +- 0.02)")
+        (
+            "accuracy at -5 dB",
+            0.9717 <= acc[-5],
+            f"{acc[-5]:.4f} (need 0.9917 +- 0.02)" + _scatter(batches[-5], low=0.9717),
+        )
     )
     checks.append(
         (
             "accuracy at -10 dB",
             0.6778 <= acc[-10] <= 0.7778,
-            f"{acc[-10]:.4f} (need 0.7278 +- 0.05)",
+            f"{acc[-10]:.4f} (need 0.7278 +- 0.05)" + _scatter(batches[-10], 0.6778, 0.7778),
         )
     )
     _criterion("criterion 1: six-element accuracy versus SNR", checks)
@@ -132,11 +153,16 @@ def test_criterion_3_manifold_error_sweep(eps_batches_6el):
     err = {e: _errors(eps_batches_6el[e]) for e in levels}
     stds = {e: err[e].std() for e in levels}
     checks = [
-        ("accuracy at eps=0.025", acc[0.025] >= 0.94, f"{acc[0.025]:.4f} (need >= 0.94)"),
+        (
+            "accuracy at eps=0.025",
+            acc[0.025] >= 0.94,
+            f"{acc[0.025]:.4f} (need >= 0.94)" + _scatter(eps_batches_6el[0.025], low=0.94),
+        ),
         (
             "accuracy at eps=0.1",
             0.33 <= acc[0.1] <= 0.53,
-            f"{acc[0.1]:.4f} (need within [0.33, 0.53])",
+            f"{acc[0.1]:.4f} (need within [0.33, 0.53])"
+            + _scatter(eps_batches_6el[0.1], 0.33, 0.53),
         ),
         (
             "accuracy strictly decreasing in eps",
@@ -171,11 +197,16 @@ def test_criterion_4_element_count_sweep(element_batches):
     counts = (1, 2, 4, 6, 8, 10)
     acc = {n: _accuracy(element_batches[n]) for n in counts}
     checks = [
-        ("accuracy with 1 element", acc[1] <= 0.05, f"{acc[1]:.4f} (need <= 0.05)"),
+        (
+            "accuracy with 1 element",
+            acc[1] <= 0.05,
+            f"{acc[1]:.4f} (need <= 0.05)" + _scatter(element_batches[1], high=0.05),
+        ),
         (
             "accuracy with 10 elements",
             0.8106 <= acc[10] <= 0.9106,
-            f"{acc[10]:.4f} (need 0.8606 +- 0.05)",
+            f"{acc[10]:.4f} (need 0.8606 +- 0.05)"
+            + _scatter(element_batches[10], 0.8106, 0.9106),
         ),
         (
             "accuracy non-decreasing in element count",
@@ -187,26 +218,35 @@ def test_criterion_4_element_count_sweep(element_batches):
 
 
 def test_criterion_5_snr_accuracy_4_element_subset(snr_batches_4el):
-    acc = {snr: _accuracy(batch) for snr, batch in snr_batches_4el.items()}
+    batches = snr_batches_4el
+    acc = {snr: _accuracy(batch) for snr, batch in batches.items()}
     checks = [
-        (f"accuracy at {snr} dB", acc[snr] >= 0.98, f"{acc[snr]:.4f} (need >= 0.98)")
+        (
+            f"accuracy at {snr} dB",
+            acc[snr] >= 0.98,
+            f"{acc[snr]:.4f} (need >= 0.98)" + _scatter(batches[snr], low=0.98),
+        )
         for snr in (10, 5)
     ]
     checks.append(
-        ("accuracy at 0 dB", 0.9617 <= acc[0], f"{acc[0]:.4f} (need 0.9817 +- 0.02)")
+        (
+            "accuracy at 0 dB",
+            0.9617 <= acc[0],
+            f"{acc[0]:.4f} (need 0.9817 +- 0.02)" + _scatter(batches[0], low=0.9617),
+        )
     )
     checks.append(
         (
             "accuracy at -5 dB",
             0.8062 <= acc[-5] <= 0.9062,
-            f"{acc[-5]:.4f} (need 0.8562 +- 0.05)",
+            f"{acc[-5]:.4f} (need 0.8562 +- 0.05)" + _scatter(batches[-5], 0.8062, 0.9062),
         )
     )
     checks.append(
         (
             "accuracy at -10 dB",
             0.4267 <= acc[-10] <= 0.5267,
-            f"{acc[-10]:.4f} (need 0.4767 +- 0.05)",
+            f"{acc[-10]:.4f} (need 0.4767 +- 0.05)" + _scatter(batches[-10], 0.4267, 0.5267),
         )
     )
     _criterion("criterion 5: four-element (60 deg subset) accuracy versus SNR", checks)

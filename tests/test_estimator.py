@@ -286,3 +286,20 @@ class TestAngularError:
         with pytest.raises(ValueError):
             angular_error(float("inf"), 0.0)
 
+    def test_arrays_match_scalar_calls(self):
+        # differences of exactly -180 and 180 both map to 180, and 360 to 0
+        est = np.array([10.0, 1.0, 359.0, 10.0, 190.0, 370.0, 0.0, 123.25, -45.5])
+        true = np.array([10.0, 359.0, 1.0, 190.0, 10.0, 10.0, 360.0, 301.0, 720.0])
+        got = angular_error(est, true)
+        assert got.shape == est.shape
+        for e, t, g in zip(est, true, got):
+            assert g == angular_error(float(e), float(t))
+        assert got[3:7].tolist() == [180.0, 180.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("where", ["estimate", "truth"])
+    def test_arrays_reject_a_nan_anywhere(self, where):
+        good = np.array([1.0, 2.0, 3.0])
+        bad = np.array([1.0, np.nan, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            angular_error(*((bad, good) if where == "estimate" else (good, bad)))
+

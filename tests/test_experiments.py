@@ -7,8 +7,8 @@ import pytest
 
 from dirmusic.experiments import (
     _SCAN_BLOCK,
+    TrialBatch,
     TrialConfig,
-    TrialReport,
     run_batch,
     run_element_sweep,
     run_manifold_error_sweep,
@@ -23,20 +23,26 @@ from dirmusic.signal import SamplingSpec
 FAST = TrialConfig(n_trials=48, sampling=SamplingSpec(rate_hz=10e9, n_samples=512))
 
 
-def _reports(errors, successes):
-    return [
-        TrialReport(theta_true_deg=10.0, theta_hat_deg=10.0 + e, error_deg=e, success=ok)
-        for e, ok in zip(errors, successes)
-    ]
+FIELDS = [f.name for f in dataclasses.fields(TrialBatch)]
+
+
+def _batch(errors, successes):
+    err = np.asarray(errors, dtype=float)
+    return TrialBatch(np.full(err.size, 10.0), 10.0 + err, err, np.asarray(successes, dtype=bool))
+
+
+def _assert_same(first, second):
+    for name in FIELDS:
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 class TestRunTrial:
     def test_noiseless_on_grid_is_exact(self):
         cfg = dataclasses.replace(FAST, snr_db=300.0)
         report = run_trial(cfg, 45.0, np.random.default_rng(0))
-        assert report.theta_hat_deg == 45.0
-        assert report.error_deg == 0.0
-        assert report.success
+        assert report.theta_hat_deg.tolist() == [45.0]
+        assert report.error_deg.tolist() == [0.0]
+        assert report.success.tolist() == [True]
 
     def test_deterministic_given_seed(self):
         cfg = dataclasses.replace(FAST, snr_db=0.0, manifold_error=0.05)
@@ -49,13 +55,16 @@ class TestRunTrial:
         rng = np.random.default_rng(17)
         for theta in (10.0, 200.0, 355.5):
             report = run_trial(cfg, theta, rng)
-            assert report.success == (abs(report.error_deg) < cfg.success_threshold_deg)
+            assert report.success.shape == (1,)
+            assert np.array_equal(
+                report.success, np.abs(report.error_deg) < cfg.success_threshold_deg
+            )
 
     def test_single_element_estimate_is_uninformative(self):
         cfg = dataclasses.replace(FAST, n_elements=1, manifold_error=0.05)
         report = run_trial(cfg, 180.0, np.random.default_rng(1))
-        assert report.theta_hat_deg == 0.0
-        assert not report.success
+        assert report.theta_hat_deg.tolist() == [0.0]
+        assert report.success.tolist() == [False]
 
 
 class TestRunBatch:
@@ -74,47 +83,63 @@ class TestRunBatch:
             FAST, **{"n_trials": 6, "snr_db": -5.0, "manifold_error": 0.05, **protocol}
         )
         batch = run_batch(cfg)
-        for j, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)):
+        singles = []
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials):
             rng = np.random.default_rng(child)
             if cfg.integer_directions:
                 theta = float(rng.integers(1, 361))
             else:
                 theta = rng.uniform(1.0, 360.0)
-            assert run_trial(cfg, theta, rng) == batch[j]
+            singles.append(run_trial(cfg, theta, rng))
+        for name in FIELDS:
+            joined = np.concatenate([getattr(single, name) for single in singles])
+            assert np.array_equal(joined, getattr(batch, name)), name
 
     def test_reproducible_bitwise(self):
         cfg = dataclasses.replace(FAST, snr_db=0.0, n_trials=16)
-        assert run_batch(cfg) == run_batch(cfg)
+        first, second = run_batch(cfg), run_batch(cfg)
+        _assert_same(first, second)
+        assert first == second
 
     def test_different_seeds_differ(self):
         cfg = dataclasses.replace(FAST, snr_db=0.0, n_trials=16)
-        other = dataclasses.replace(cfg, seed=cfg.seed + 1)
-        assert run_batch(cfg) != run_batch(other)
+        first = run_batch(cfg)
+        second = run_batch(dataclasses.replace(cfg, seed=cfg.seed + 1))
+        for name in ("theta_true_deg", "theta_hat_deg", "error_deg"):
+            assert not np.array_equal(getattr(first, name), getattr(second, name)), name
+        assert first != second
+
+    def test_fields_are_one_array_entry_per_trial(self):
+        batch = run_batch(dataclasses.replace(FAST, n_trials=5))
+        for name in FIELDS:
+            value = getattr(batch, name)
+            assert value.shape == (5,), name
+            assert value.dtype == (bool if name == "success" else np.float64), name
 
     def test_directions_stay_in_sampling_range(self):
-        for report in run_batch(dataclasses.replace(FAST, n_trials=64)):
-            assert 1.0 <= report.theta_true_deg <= 360.0
+        theta = run_batch(dataclasses.replace(FAST, n_trials=64)).theta_true_deg
+        assert ((1.0 <= theta) & (theta <= 360.0)).all()
 
     def test_high_snr_batch_is_accurate(self):
-        reports = run_batch(dataclasses.replace(FAST, snr_db=300.0, n_trials=64))
-        assert all(r.success for r in reports)
+        batch = run_batch(dataclasses.replace(FAST, snr_db=300.0, n_trials=64))
+        assert batch.success.all()
 
 
 class TestSummarize:
     def test_all_zero_errors(self):
-        stats = summarize(_reports([0.0, 0.0, 0.0], [True, True, True]))
+        stats = summarize(_batch([0.0, 0.0, 0.0], [True, True, True]))
         assert stats.mean == 0.0
         assert stats.variance == 0.0
         assert stats.accuracy == 1.0
 
     def test_population_variance_convention(self):
-        stats = summarize(_reports([-2.0, 2.0], [False, False]))
+        stats = summarize(_batch([-2.0, 2.0], [False, False]))
         assert stats.mean == 0.0
         assert stats.variance == pytest.approx(4.0)
         assert stats.std == pytest.approx(2.0)
 
     def test_min_max_and_count(self):
-        stats = summarize(_reports([-3.0, 0.5, 1.0], [False, True, True]))
+        stats = summarize(_batch([-3.0, 0.5, 1.0], [False, True, True]))
         assert (stats.min, stats.max, stats.n) == (-3.0, 1.0, 3)
         assert stats.accuracy == pytest.approx(2.0 / 3.0)
 
@@ -124,13 +149,13 @@ class TestSummarize:
         cfg = dataclasses.replace(
             FAST, n_trials=64, snr_db=-10.0, integer_directions=True, inclusive_success=True
         )
-        trials = run_batch(cfg)
-        assert any(abs(t.error_deg) == cfg.success_threshold_deg for t in trials)
-        assert summarize(trials).accuracy == np.mean([t.success for t in trials])
+        batch = run_batch(cfg)
+        assert (np.abs(batch.error_deg) == cfg.success_threshold_deg).any()
+        assert summarize(batch).accuracy == np.mean(batch.success)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize(_batch([], []))
 
 
 class TestSweeps:

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirmusic import io as dio
-from dirmusic.experiments import SweepReport, SweepRow, TrialReport
+from dirmusic.experiments import SweepReport, SweepRow, TrialBatch
 from dirmusic.pattern import DEFAULT_PATTERN
 from dirmusic.pipeline import Recording
 
@@ -169,12 +169,15 @@ class TestReportFiles:
 
     def test_trials_csv(self, tmp_path):
         path = tmp_path / "trials.csv"
-        trials = [TrialReport(10.0, 11.0, 1.0, True), TrialReport(20.0, 25.0, 5.0, False)]
-        dio.write_trials_csv(path, trials)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "theta_true_deg,theta_hat_deg,error_deg,success"
-        assert lines[1].endswith(",1")
-        assert lines[2].endswith(",0")
+        batch = TrialBatch(
+            np.array([10.0, 20.0]), np.array([11.0, 25.0]), np.array([1.0, 5.0]),
+            np.array([True, False]),
+        )
+        dio.write_trials_csv(path, batch)
+        assert path.read_bytes() == (
+            b"theta_true_deg,theta_hat_deg,error_deg,success\r\n"
+            b"10.0,11.0,1.0,1\r\n20.0,25.0,5.0,0\r\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -211,8 +214,13 @@ def test_failed_rename_keeps_target_and_removes_temp_file(tmp_path, monkeypatch,
 def test_failed_write_keeps_target_and_removes_temp_file(tmp_path):
     path = tmp_path / "trials.csv"
     path.write_bytes(b"previous contents")
+    # the first row is written, the second fails
+    batch = TrialBatch(
+        np.array([10.0, "not a number"], dtype=object), np.zeros(2), np.zeros(2),
+        np.ones(2, dtype=bool),
+    )
     with pytest.raises(ValueError):
-        dio.write_trials_csv(path, [TrialReport("not a number", 0.0, 0.0, True)])
+        dio.write_trials_csv(path, batch)
     assert path.read_bytes() == b"previous contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
 

@@ -60,6 +60,16 @@ class TestSteeringVector:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_array_of_directions_equals_per_direction_calls(self, n):
+        arr = ArrayConfig.uniform(n)
+        thetas = np.random.default_rng(8).uniform(1.0, 360.0, size=(3, 7))
+        got = steering_vector(DEFAULT_PATTERN, arr, thetas)
+        assert got.shape == (3, 7, n)
+        for idx in np.ndindex(thetas.shape):
+            want = steering_vector(DEFAULT_PATTERN, arr, float(thetas[idx]))
+            assert got[idx].tobytes() == want.tobytes()
+
 
 class TestManifoldMatrix:
     def test_single_angle_column(self):
