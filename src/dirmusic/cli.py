@@ -103,7 +103,7 @@ def _layout_config(args, config: dict) -> TrialConfig:
         offsets = _parse_offsets(offsets)
     elif offsets is not None:
         offsets = tuple(float(o) for o in offsets)
-    n_elements = int(_pick(args.elements, config, "elements", 6))
+    n_elements = _pick(args.elements, config, "elements", 6)
     if offsets is not None and args.elements is None and "elements" not in config:
         n_elements = len(offsets)
     return TrialConfig(
@@ -121,8 +121,8 @@ def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConf
         manifold_error=float(
             _pick(getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default)
         ),
-        n_trials=int(_pick(args.trials, config, "trials", 3600)),
-        seed=int(_pick(args.seed, config, "seed", DEFAULT_SEED)),
+        n_trials=_pick(args.trials, config, "trials", 3600),
+        seed=_pick(args.seed, config, "seed", DEFAULT_SEED),
         success_threshold_deg=float(_pick(args.threshold_deg, config, "threshold", 2.0)),
     )
 
@@ -246,7 +246,7 @@ def cmd_estimate(args) -> int:
     spec = FilterSpec(
         low_hz=float(_pick(args.band_low_hz, config, "band_low_hz", 1.0e9)),
         high_hz=float(_pick(args.band_high_hz, config, "band_high_hz", 2.0e9)),
-        n_taps=int(_pick(args.taps, config, "taps", 101)),
+        n_taps=_pick(args.taps, config, "taps", 101),
     )
     array = cfg.array()
     result = process_recording(
@@ -264,6 +264,8 @@ def cmd_estimate(args) -> int:
         "grid_step_deg": cfg.grid_step_deg,
         "n_elements": array.n_elements,
         "offsets_deg": list(array.offsets_deg),
+        "pattern": cfg.pattern.as_params().tolist(),
+        "k_sigma": args.k_sigma,
         "snapshots_used": result.window.stop - result.window.start,
     }
     if args.out:

@@ -89,6 +89,10 @@ class TrialConfig:
     inclusive_success: bool = False
 
     def __post_init__(self):
+        for name in ("n_elements", "n_trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("snr_db", "manifold_error", "success_threshold_deg"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -305,5 +309,5 @@ def run_element_sweep(cfg: TrialConfig, n_elements_list) -> SweepReport:
         cfg,
         "n_elements",
         n_elements_list,
-        lambda c, v: replace(c, n_elements=int(v), offsets_deg=None),
+        lambda c, v: replace(c, n_elements=v, offsets_deg=None),
     )

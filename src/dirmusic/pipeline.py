@@ -104,6 +104,8 @@ class FilterSpec:
             raise ValueError(
                 f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}"
             )
+        if isinstance(self.n_taps, bool) or not isinstance(self.n_taps, (int, np.integer)):
+            raise ValueError(f"n_taps must be an integer, got {self.n_taps!r}")
         if self.n_taps < 11 or self.n_taps % 2 == 0:
             raise ValueError(f"n_taps must be odd and >= 11, got {self.n_taps}")
 

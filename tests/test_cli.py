@@ -13,7 +13,7 @@ from dirmusic import io as dio
 from dirmusic.cli import EXIT_IO, EXIT_NO_PULSE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from dirmusic.estimator import default_grid
 from dirmusic.manifold import ArrayConfig, manifold_matrix, steering_vector
-from dirmusic.pattern import DEFAULT_PATTERN, eval_pattern
+from dirmusic.pattern import DEFAULT_PATTERN, GaussianMixturePattern, eval_pattern
 from dirmusic.pipeline import Recording
 from dirmusic.signal import PulseModel, SamplingSpec, pd_pulse, synthesize_clean
 
@@ -177,6 +177,30 @@ class TestSweeps:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "run_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, values, field",
+        [
+            (["simulate"], {"seed": 1.9, "trials": 2.7}, "n_trials"),
+            (["simulate"], {"seed": 1.9}, "seed"),
+            (["simulate"], {"seed": True}, "seed"),
+            (["simulate"], {"trials": True}, "n_trials"),
+            (["sweep-elements"], {"elements_list": [2.9]}, "n_elements"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"taps": 101.5}, "n_taps"),
+        ],
+        ids=["float_seed_and_trials", "float_seed", "bool_seed", "bool_trials",
+             "float_element_count", "float_taps"],
+    )
+    def test_non_integer_config_value_is_parse_error(
+        self, tmp_path, capsys, monkeypatch, command, values, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        _write_recording(tmp_path / "wave.csv")
+        (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, **values}))
+        code = main(command + ["--config", "config.json", "--out", "out"])
+        assert code == EXIT_PARSE
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "wave.csv"]
+
     def test_element_sweep_fixed_epsilon_precedence(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"schema_version": 1, "epsilon_fixed": 0.1}))
@@ -286,6 +310,45 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         assert payload["n_taps"] == 501
         assert payload["offsets_deg"] == offsets
+
+    def test_records_pattern_and_k_sigma_enough_to_rerun(self, tmp_path):
+        wave = tmp_path / "wave.csv"
+        _write_recording(wave)
+        params = DEFAULT_PATTERN.as_params()
+        params[:, 2] *= 1.1
+        pattern = tmp_path / "pattern.csv"
+        dio.write_pattern_csv(pattern, GaussianMixturePattern.from_params(params))
+        out = tmp_path / "first.json"
+        code = main([
+            "estimate", str(wave), "--offsets", "0,60,120,180", "--pattern", str(pattern),
+            "--k-sigma", "4.5", "--taps", "501", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        first = json.loads(out.read_text())
+        assert first["k_sigma"] == 4.5
+        assert first["pattern"] == params.tolist()
+        # re-run from nothing but the recorded values
+        replay = tmp_path / "replay.csv"
+        dio.write_pattern_csv(replay, GaussianMixturePattern.from_params(first["pattern"]))
+        code = main([
+            "estimate", str(wave), "--pattern", str(replay),
+            "--offsets", ",".join(repr(o) for o in first["offsets_deg"]),
+            "--band-low-hz", repr(first["filter_band_hz"][0]),
+            "--band-high-hz", repr(first["filter_band_hz"][1]),
+            "--taps", str(first["n_taps"]), "--grid-step", repr(first["grid_step_deg"]),
+            "--k-sigma", repr(first["k_sigma"]), "--out", str(tmp_path / "second.json"),
+        ])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "second.json").read_text()) == first
+
+    def test_default_pattern_is_recorded(self, tmp_path):
+        wave = tmp_path / "wave.csv"
+        _write_recording(wave)
+        out = tmp_path / "result.json"
+        assert main(["estimate", str(wave), "--elements", "4", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["pattern"] == DEFAULT_PATTERN.as_params().tolist()
+        assert payload["k_sigma"] == 5.0
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -209,11 +209,21 @@ class TestTrialConfig:
             ("success_threshold_deg", float("nan")),
             ("n_elements", 0),
             ("seed", -1),
+            ("n_elements", 4.0),
+            ("n_trials", 2.7),
+            ("n_trials", True),
+            ("seed", 1.9),
+            ("seed", True),
+            ("seed", "7"),
         ],
     )
     def test_invalid_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrialConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrialConfig(n_elements=np.int64(4), n_trials=np.int32(3), seed=np.uint64(5))
+        assert cfg.array().n_elements == 4
 
     def test_explicit_offsets_override_uniform(self):
         cfg = TrialConfig(n_elements=4, offsets_deg=(0.0, 60.0, 120.0, 180.0))

@@ -165,6 +165,10 @@ class TestFilterSpec:
             FilterSpec(n_taps=100)
         with pytest.raises(ValueError):
             FilterSpec(n_taps=9)
+        for n_taps in (101.0, 101.5, True):
+            with pytest.raises(ValueError, match="n_taps must be an integer"):
+                FilterSpec(n_taps=n_taps)
+        assert FilterSpec(n_taps=np.int64(101)).kernel(10e9).size == 101
 
     def test_band_must_fit_below_nyquist(self):
         with pytest.raises(ValueError):
