@@ -15,7 +15,6 @@ covered in tests/test_published_protocol.py and the README.
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -52,14 +51,14 @@ def _errors(batch):
     return batch.error_deg
 
 
-def _scatter(batch, low=-math.inf, high=math.inf):
+def _scatter(batch, low=-np.inf, high=np.inf):
     """Detail for an accuracy band check: the binomial standard error
     sqrt(p (1 - p) / n) and the signed distance to the nearer band edge
     in standard errors, positive inside the band."""
     p, n = _accuracy(batch), batch.success.size
-    se = math.sqrt(p * (1.0 - p) / n)
+    se = float(np.sqrt(p * (1.0 - p) / n))
     margin = min(p - low, high - p)
-    distance = margin / se if se > 0.0 else math.copysign(math.inf, margin)
+    distance = margin / se if se > 0.0 else float(np.copysign(np.inf, margin))
     return f"; SE {se:.4f}, {distance:+.1f} SE from band edge"
 
 

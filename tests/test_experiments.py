@@ -31,11 +31,6 @@ def _batch(errors, successes):
     return TrialBatch(np.full(err.size, 10.0), 10.0 + err, err, np.asarray(successes, dtype=bool))
 
 
-def _assert_same(first, second):
-    for name in FIELDS:
-        assert np.array_equal(getattr(first, name), getattr(second, name)), name
-
-
 class TestRunTrial:
     def test_noiseless_on_grid_is_exact(self):
         cfg = dataclasses.replace(FAST, snr_db=300.0)
@@ -98,7 +93,8 @@ class TestRunBatch:
     def test_reproducible_bitwise(self):
         cfg = dataclasses.replace(FAST, snr_db=0.0, n_trials=16)
         first, second = run_batch(cfg), run_batch(cfg)
-        _assert_same(first, second)
+        for name in FIELDS:
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
         assert first == second
 
     def test_different_seeds_differ(self):
