@@ -108,7 +108,7 @@ def _layout_config(args, config: dict) -> TrialConfig:
         n_elements = len(offsets)
     return TrialConfig(
         n_elements=n_elements,
-        grid_step_deg=float(_pick(args.grid_step, config, "grid_step", 1.0)),
+        grid_step_deg=_pick(args.grid_step, config, "grid_step", 1.0),
         offsets_deg=offsets,
         pattern=_load_pattern(args.pattern),
     )
@@ -117,13 +117,13 @@ def _layout_config(args, config: dict) -> TrialConfig:
 def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConfig:
     return replace(
         _layout_config(args, config),
-        snr_db=float(_pick(getattr(args, "snr_db_fixed", None), config, "snr_db_fixed", 10.0)),
-        manifold_error=float(
-            _pick(getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default)
+        snr_db=_pick(getattr(args, "snr_db_fixed", None), config, "snr_db_fixed", 10.0),
+        manifold_error=_pick(
+            getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default
         ),
         n_trials=_pick(args.trials, config, "trials", 3600),
         seed=_pick(args.seed, config, "seed", DEFAULT_SEED),
-        success_threshold_deg=float(_pick(args.threshold_deg, config, "threshold", 2.0)),
+        success_threshold_deg=_pick(args.threshold_deg, config, "threshold", 2.0),
     )
 
 
@@ -207,10 +207,12 @@ def cmd_simulate(args) -> int:
 def _run_sweep(args, key: str, runner, flag: str, epsilon_default: float = 0.0) -> int:
     config = _load_config(args.config) if args.config else {}
     values = _pick(getattr(args, key), config, key, None)
+    if values is not None and not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of values, got {values!r}")
     if not values:
         raise UsageError(f"no sweep values given (use --{flag} or the config file)")
     cfg = _trial_config(args, config, epsilon_default)
-    report = runner(cfg, list(values))
+    report = runner(cfg, values)
     dio.write_sweep_csv(f"{args.out}.csv", report)
     # The swept field is set per row, so the base value would mislead.
     meta = {k: v for k, v in _config_payload(cfg).items() if k != report.setting_name}

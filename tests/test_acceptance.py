@@ -14,7 +14,6 @@ covered in tests/test_published_protocol.py and the README.
 """
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -36,11 +35,17 @@ from dirmusic.pattern import (
 )
 from dirmusic.pipeline import FilterSpec, Recording, normalize_bipolar, process_recording
 from dirmusic.signal import PulseModel, SamplingSpec, add_awgn, pd_pulse, synthesize_clean
-from dirmusic.experiments import TrialConfig, run_batch
+from dirmusic.experiments import (
+    TrialConfig,
+    run_element_sweep,
+    run_manifold_error_sweep,
+    run_snr_sweep,
+)
 
 BASE = TrialConfig()  # 6 elements, 3600 trials, 1 deg grid, 2 deg threshold
 SUBSET4 = (0.0, 60.0, 120.0, 180.0)
 FAST_SPEC = SamplingSpec(rate_hz=10e9, n_samples=512)  # noise-free checks
+SNRS = (10, 5, 0, -5, -10)  # dB, criteria 1, 2 and 5
 
 
 def _accuracy(batch):
@@ -72,40 +77,30 @@ def _criterion(name, checks):
 
 
 @pytest.fixture(scope="session")
-def batch():
-    """run_batch cached by TrialConfig, so a setting two criteria share
-    (6 elements at eps = 0.05) runs once."""
-    return functools.cache(run_batch)
+def snr_batches_6el():
+    return dict(zip(SNRS, run_snr_sweep(BASE, SNRS).batches))
 
 
 @pytest.fixture(scope="session")
-def snr_batches_6el(batch):
-    return {
-        snr: batch(dataclasses.replace(BASE, snr_db=float(snr)))
-        for snr in (10, 5, 0, -5, -10)
-    }
+def eps_batches_6el():
+    levels = (0.025, 0.05, 0.075, 0.1)
+    return dict(zip(levels, run_manifold_error_sweep(BASE, levels).batches))
 
 
 @pytest.fixture(scope="session")
-def eps_batches_6el(batch):
-    return {
-        eps: batch(dataclasses.replace(BASE, manifold_error=eps))
-        for eps in (0.025, 0.05, 0.075, 0.1)
-    }
+def element_batches(eps_batches_6el):
+    counts = (1, 2, 4, 8, 10)
+    report = run_element_sweep(dataclasses.replace(BASE, manifold_error=0.05), counts)
+    batches = dict(zip(counts, report.batches))
+    # 6 elements at eps = 0.05 is also a setting of criterion 3; it runs once.
+    batches[6] = eps_batches_6el[0.05]
+    return batches
 
 
 @pytest.fixture(scope="session")
-def element_batches(batch):
-    return {
-        n: batch(dataclasses.replace(BASE, n_elements=n, manifold_error=0.05))
-        for n in (1, 2, 4, 6, 8, 10)
-    }
-
-
-@pytest.fixture(scope="session")
-def snr_batches_4el(batch):
+def snr_batches_4el():
     cfg = dataclasses.replace(BASE, n_elements=4, offsets_deg=SUBSET4)
-    return {snr: batch(dataclasses.replace(cfg, snr_db=float(snr))) for snr in (10, 5, 0, -5, -10)}
+    return dict(zip(SNRS, run_snr_sweep(cfg, SNRS).batches))
 
 
 def test_criterion_1_snr_accuracy_6_elements(snr_batches_6el):

@@ -201,6 +201,51 @@ class TestSweeps:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "wave.csv"]
 
+    @pytest.mark.parametrize(
+        "command, values, field",
+        [
+            (["simulate"], {"snr_db_fixed": True}, "snr_db"),
+            (["simulate"], {"threshold": "3"}, "success_threshold_deg"),
+            (["simulate"], {"epsilon_fixed": "0.05"}, "manifold_error"),
+            (["sweep-snr"], {"snr_db": [True, "5"]}, "snr_db"),
+            (["sweep-error"], {"epsilon": [0.05, "0.1"]}, "manifold_error"),
+            (["manifold"], {"grid_step": True}, "grid_step_deg"),
+        ],
+        ids=["bool_snr", "string_threshold", "string_epsilon", "bool_and_string_snr_list",
+             "string_in_epsilon_list", "bool_grid_step"],
+    )
+    def test_non_number_config_value_is_parse_error(
+        self, tmp_path, capsys, monkeypatch, command, values, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, **values}))
+        code = main(command + ["--config", "config.json", "--out", "out"])
+        assert code == EXIT_PARSE
+        assert f"{field} must be a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_sweep_values_must_be_a_list(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": 1, "snr_db": 5}))
+        code = main(["sweep-snr", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == EXIT_PARSE
+        assert "snr_db must be a list" in capsys.readouterr().err
+
+    def test_integer_config_values_write_the_same_bytes_as_floats(self, tmp_path):
+        written = []
+        for tag, values in (
+            ("int", {"snr_db_fixed": 5, "epsilon_fixed": 0, "threshold": 2, "grid_step": 1}),
+            ("float", {"snr_db_fixed": 5.0, "epsilon_fixed": 0.0, "threshold": 2.0,
+                       "grid_step": 1.0}),
+        ):
+            config = tmp_path / f"{tag}.json"
+            config.write_text(json.dumps({"schema_version": 1, "trials": 3, **values}))
+            out = tmp_path / tag
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            written.append([(tmp_path / f"{tag}{suffix}").read_bytes()
+                            for suffix in ("_trials.csv", "_summary.json")])
+        assert written[0] == written[1]
+
     def test_element_sweep_fixed_epsilon_precedence(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"schema_version": 1, "epsilon_fixed": 0.1}))

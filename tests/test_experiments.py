@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dirmusic import experiments
 from dirmusic.experiments import (
     _SCAN_BLOCK,
     TrialBatch,
@@ -178,6 +179,14 @@ class TestSweeps:
         assert report.rows[0].accuracy <= 0.2  # single element fails by design
         assert report.rows[1].accuracy >= report.rows[0].accuracy
 
+    def test_rows_summarize_their_batches(self):
+        report = run_manifold_error_sweep(dataclasses.replace(FAST, n_trials=24), [0.0, 0.1])
+        for row, batch in zip(report.rows, report.batches):
+            stats = summarize(batch)
+            assert (row.accuracy, row.mean_err, row.std_err) == (
+                stats.accuracy, stats.mean, stats.std
+            )
+
     def test_empty_setting_lists_rejected(self):
         with pytest.raises(ValueError):
             run_snr_sweep(FAST, [])
@@ -185,6 +194,83 @@ class TestSweeps:
             run_manifold_error_sweep(FAST, [])
         with pytest.raises(ValueError):
             run_element_sweep(FAST, [])
+
+
+# The acceptance settings, with full-length records and few trials.
+ACCEPTANCE = TrialConfig(n_trials=4)
+SUBSET4 = (0.0, 60.0, 120.0, 180.0)
+
+
+def _per_setting(cfg, field, values, **fixed):
+    return [run_batch(dataclasses.replace(cfg, **{field: v}, **fixed)) for v in values]
+
+
+class TestSweepsShareDraws:
+    """A sweep draws each trial's noise once per group of settings, and
+    every setting's batch equals run_batch on that setting alone."""
+
+    @pytest.mark.parametrize(
+        "runner, cfg, field, values",
+        [
+            (run_snr_sweep, ACCEPTANCE, "snr_db", [10, 5, 0, -5, -10]),
+            (
+                run_snr_sweep,
+                dataclasses.replace(ACCEPTANCE, n_elements=4, offsets_deg=SUBSET4),
+                "snr_db",
+                [10, 5, 0, -5, -10],
+            ),
+            (run_manifold_error_sweep, ACCEPTANCE, "manifold_error", [0.025, 0.05, 0.075, 0.1]),
+            (
+                run_element_sweep,
+                dataclasses.replace(ACCEPTANCE, manifold_error=0.05),
+                "n_elements",
+                [1, 2, 4, 6, 8, 10],
+            ),
+        ],
+        ids=["snr_6_elements", "snr_4_element_subset", "manifold_error", "element_count"],
+    )
+    def test_acceptance_settings(self, runner, cfg, field, values):
+        assert runner(cfg, values).batches == tuple(_per_setting(cfg, field, values))
+
+    @pytest.mark.parametrize(
+        "runner, field, values, base",
+        [
+            (run_manifold_error_sweep, "manifold_error", [0.05, 0.0, 0.1, 0.0], {}),
+            (run_snr_sweep, "snr_db", [10.0, -10.0, 0.0], {"manifold_error": 0.05}),
+            (run_snr_sweep, "snr_db", [0.0, -10.0, 0.0], {}),
+            (run_manifold_error_sweep, "manifold_error", [0.05, 0.05], {}),
+            (
+                run_snr_sweep,
+                "snr_db",
+                [-10.0, 0.0],
+                {"integer_directions": True, "inclusive_success": True},
+            ),
+            (
+                run_manifold_error_sweep,
+                "manifold_error",
+                [0.1, 0.0, 0.05],
+                {"integer_directions": True},
+            ),
+        ],
+        ids=["error_list_with_zero", "snr_at_nonzero_error", "repeated_snr",
+             "repeated_error", "integer_directions_snr", "integer_directions_error"],
+    )
+    def test_mixed_and_repeated_settings(self, runner, field, values, base):
+        cfg = dataclasses.replace(FAST, n_trials=24, **base)
+        report = runner(cfg, values)
+        assert report.batches == tuple(_per_setting(cfg, field, values))
+        assert [row.setting for row in report.rows] == [float(v) for v in values]
+
+    def test_snr_sweep_builds_each_clean_record_once(self, monkeypatch):
+        original, calls = experiments.synthesize_clean, []
+
+        def counting(gains, pulse):
+            calls.append(1)
+            return original(gains, pulse)
+
+        monkeypatch.setattr(experiments, "synthesize_clean", counting)
+        run_snr_sweep(dataclasses.replace(FAST, n_trials=5), [10.0, 0.0, -10.0])
+        assert len(calls) == 5
 
 
 class TestTrialConfig:
@@ -211,11 +297,28 @@ class TestTrialConfig:
             ("seed", 1.9),
             ("seed", True),
             ("seed", "7"),
+            ("snr_db", True),
+            ("snr_db", "10"),
+            ("manifold_error", False),
+            ("manifold_error", None),
+            ("success_threshold_deg", "3"),
+            ("grid_step_deg", True),
+            ("grid_step_deg", "1"),
+            ("grid_step_deg", 0.0),
+            ("grid_step_deg", float("nan")),
         ],
     )
     def test_invalid_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrialConfig(**{field: value})
+
+    def test_real_numbers_are_stored_as_float(self):
+        cfg = TrialConfig(
+            snr_db=10, manifold_error=np.int64(0), success_threshold_deg=2, grid_step_deg=1
+        )
+        values = (cfg.snr_db, cfg.manifold_error, cfg.success_threshold_deg, cfg.grid_step_deg)
+        assert values == (10.0, 0.0, 2.0, 1.0)
+        assert all(type(value) is float for value in values)
 
     def test_numpy_integers_accepted(self):
         cfg = TrialConfig(n_elements=np.int64(4), n_trials=np.int32(3), seed=np.uint64(5))

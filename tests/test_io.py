@@ -146,7 +146,7 @@ class TestReportFiles:
             SweepRow(10.0, 1.0, 0.01, 0.3, -1.0, 1.0, 100),
             SweepRow(0.0, 0.8, -0.02, 1.1, -4.0, 5.0, 100),
         )
-        return SweepReport(setting_name="snr_db", rows=rows)
+        return SweepReport(setting_name="snr_db", rows=rows, batches=())
 
     def test_sweep_csv_layout(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -191,7 +191,7 @@ class TestReportFiles:
         ),
         pytest.param(
             lambda path: dio.write_sweep_json(
-                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),)), {}
+                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),), ()), {}
             ),
             id="sweep_json",
         ),
