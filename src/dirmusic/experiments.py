@@ -169,18 +169,17 @@ class SummaryStats:
     max: float
 
 
-# Slots make a row 48 of its 289 bytes smaller; callers that keep the
-# rows of many sweeps (perfbench's mc_study keeps every pass's) hold less.
+# Callers may keep the rows of many sweeps (perfbench's mc_study keeps
+# every pass's), so a row holds only the figures they pool, in slots.
 @dataclass(frozen=True, slots=True)
 class SweepRow:
-    """One setting of a sweep with its aggregated statistics."""
+    """One setting of a sweep with the figures that runs are pooled by.
+    ``summarize`` of the setting's batch gives every other statistic."""
 
     setting: float
     accuracy: float
     mean_err: float
     std_err: float
-    min_err: float
-    max_err: float
     n_trials: int
 
 
@@ -356,8 +355,6 @@ def _sweep(name: str, cfgs: list[TrialConfig]) -> SweepReport:
                 accuracy=stats.accuracy,
                 mean_err=stats.mean,
                 std_err=stats.std,
-                min_err=stats.min,
-                max_err=stats.max,
                 n_trials=stats.n,
             )
         )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SweepReport, TrialBatch
+from .experiments import SweepReport, TrialBatch, summarize
 from .pattern import GaussianMixturePattern
 from .pipeline import Recording
 
@@ -37,17 +37,17 @@ SCHEMA_VERSION = 1
 
 _PATTERN_HEADER = ["amplitude", "center_deg", "width_deg"]
 _SAMPLES_HEADER = ["angle_deg", "gain"]
-#: Sweep CSV column, which is also the JSON key -> (SweepRow field, type written).
+#: Sweep CSV column after ``setting``, which is also the JSON key ->
+#: (SummaryStats field, type written).
 _SWEEP_FIELDS = {
-    "setting": ("setting", float),
     "accuracy": ("accuracy", float),
-    "mean_err": ("mean_err", float),
-    "std_err": ("std_err", float),
-    "min_err": ("min_err", float),
-    "max_err": ("max_err", float),
-    "n": ("n_trials", int),
+    "mean_err": ("mean", float),
+    "std_err": ("std", float),
+    "min_err": ("min", float),
+    "max_err": ("max", float),
+    "n": ("n", int),
 }
-_SWEEP_HEADER = list(_SWEEP_FIELDS)
+_SWEEP_HEADER = ["setting", *_SWEEP_FIELDS]
 _TRIALS_HEADER = ["theta_true_deg", "theta_hat_deg", "error_deg", "success"]
 #: Rows formatted per write by write_waveform_csv.
 _WAVEFORM_BLOCK = 1024
@@ -247,10 +247,14 @@ def read_waveform_csv(path) -> Recording:
 
 
 def _sweep_records(report: SweepReport) -> list[dict]:
-    return [
-        {column: kind(getattr(row, field)) for column, (field, kind) in _SWEEP_FIELDS.items()}
-        for row in report.rows
-    ]
+    records = []
+    for row, batch in zip(report.rows, report.batches, strict=True):
+        stats = summarize(batch)
+        record = {"setting": float(row.setting)}
+        for column, (field, kind) in _SWEEP_FIELDS.items():
+            record[column] = kind(getattr(stats, field))
+        records.append(record)
+    return records
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:

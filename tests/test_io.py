@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirmusic import io as dio
-from dirmusic.experiments import SweepReport, SweepRow, TrialBatch
+from dirmusic.experiments import SweepReport, SweepRow, TrialBatch, summarize
 from dirmusic.pattern import DEFAULT_PATTERN
 from dirmusic.pipeline import Recording
 
@@ -140,13 +140,21 @@ class TestWaveformFiles:
                 assert path.read_bytes() == buf.getvalue().encode(), (n_channels, n_samples)
 
 
+def _sweep_report(settings_and_errors):
+    """A report with one batch per setting from its errors; |error| < 2 succeeds."""
+    rows, batches = [], []
+    for setting, errors in settings_and_errors:
+        err = np.asarray(errors, dtype=float)
+        batch = TrialBatch(np.full(err.size, 90.0), 90.0 + err, err, np.abs(err) < 2.0)
+        stats = summarize(batch)
+        rows.append(SweepRow(setting, stats.accuracy, stats.mean, stats.std, stats.n))
+        batches.append(batch)
+    return SweepReport(setting_name="snr_db", rows=tuple(rows), batches=tuple(batches))
+
+
 class TestReportFiles:
     def _report(self):
-        rows = (
-            SweepRow(10.0, 1.0, 0.01, 0.3, -1.0, 1.0, 100),
-            SweepRow(0.0, 0.8, -0.02, 1.1, -4.0, 5.0, 100),
-        )
-        return SweepReport(setting_name="snr_db", rows=rows, batches=())
+        return _sweep_report([(10.0, [-1.0, 0.5, 1.0]), (0.0, [-4.0, 0.25, 5.0])])
 
     def test_sweep_csv_layout(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -155,6 +163,8 @@ class TestReportFiles:
         assert lines[0] == "setting,accuracy,mean_err,std_err,min_err,max_err,n"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "10.0"
+        # the statistics are those of each setting's batch
+        assert lines[2].split(",")[4:] == ["-4.0", "5.0", "3"]
 
     def test_sweep_json_payload(self, tmp_path):
         import json
@@ -191,7 +201,7 @@ class TestReportFiles:
         ),
         pytest.param(
             lambda path: dio.write_sweep_json(
-                path, SweepReport("snr_db", (SweepRow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1),), ()), {}
+                path, _sweep_report([(1.0, [0.0])]), {}
             ),
             id="sweep_json",
         ),
