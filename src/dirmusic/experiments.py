@@ -387,7 +387,7 @@ def run_manifold_error_sweep(cfg: TrialConfig, half_width_list) -> SweepReport:
 def run_element_sweep(cfg: TrialConfig, n_elements_list) -> SweepReport:
     """Accuracy versus element count; the uniform layout is re-derived
     for every count (explicit offsets are dropped). The element count
-    sets the shape of the noise draw, so no two counts share draws."""
+    sets the shape of the noise draw, so different counts share no draws."""
     if len(n_elements_list) == 0:
         raise ValueError("n_elements_list must not be empty")
     return _sweep(

@@ -201,8 +201,8 @@ ACCEPTANCE = TrialConfig(n_trials=4)
 SUBSET4 = (0.0, 60.0, 120.0, 180.0)
 
 
-def _per_setting(cfg, field, values, **fixed):
-    return [run_batch(dataclasses.replace(cfg, **{field: v}, **fixed)) for v in values]
+def _per_setting(cfg, field, values):
+    return [run_batch(dataclasses.replace(cfg, **{field: v})) for v in values]
 
 
 class TestSweepsShareDraws:
