@@ -14,14 +14,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import io as dio
 from .estimator import default_grid
 from .experiments import (
-    DEFAULT_SEED,
     TrialConfig,
     run_batch,
     run_element_sweep,
@@ -29,7 +27,7 @@ from .experiments import (
     run_snr_sweep,
     summarize,
 )
-from .manifold import manifold_matrix
+from .manifold import ArrayConfig, manifold_matrix
 from .pattern import DEFAULT_PATTERN, fit_pattern
 from .pipeline import FilterSpec, NoPulseFoundError, process_recording
 
@@ -44,11 +42,16 @@ class UsageError(Exception):
     pass
 
 
-#: Keys a config file may carry; any other key is rejected.
+#: Config key -> the dataclass field it sets, by the runs that read it (a
+#: run ignores the other keys). A flag that sets a field has its key as dest.
+_LAYOUT = {"elements": "n_elements", "offsets": "offsets_deg", "grid_step": "grid_step_deg"}
+_TRIAL = {**_LAYOUT, "snr_db_fixed": "snr_db", "epsilon_fixed": "manifold_error",
+          "trials": "n_trials", "seed": "seed", "threshold": "success_threshold_deg"}
+_FILTER = {"band_low_hz": "low_hz", "band_high_hz": "high_hz", "taps": "n_taps"}
+#: Keys a config file may carry, the last three being sweep lists; any
+#: other key is rejected.
 CONFIG_KEYS = frozenset({
-    "schema_version", "elements", "offsets", "snr_db", "snr_db_fixed", "epsilon",
-    "epsilon_fixed", "elements_list", "trials", "seed", "grid_step", "threshold",
-    "band_low_hz", "band_high_hz", "taps",
+    "schema_version", *_TRIAL, *_FILTER, "snr_db", "epsilon", "elements_list",
 })
 
 
@@ -71,18 +74,22 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _pick(args_value, config: dict, key: str, default):
-    """CLI flag wins over config file wins over default."""
-    if args_value is not None:
-        return args_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _given(args, config: dict, key: str):
+    """The flag's value, else the config key's; None when neither gives one."""
+    value = getattr(args, key, None)
+    return config.get(key) if value is None else value
 
 
-def _parse_offsets(text: str) -> tuple[float, ...]:
+def _fields(args, config: dict, table: dict) -> dict:
+    """The fields of ``table`` that a flag or config key gives. Every other
+    field keeps the default of its dataclass, which checks every value."""
+    given = {field: _given(args, config, key) for key, field in table.items()}
+    return {field: value for field, value in given.items() if value is not None}
+
+
+def _parse_offsets(text: str) -> list[float]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"invalid offsets list {text!r}") from exc
 
@@ -93,38 +100,15 @@ def _load_pattern(source: str):
     return dio.read_pattern_csv(source)
 
 
-def _layout_config(args, config: dict) -> TrialConfig:
-    """Array layout, search grid and pattern; every other field keeps its default.
-
-    This is all that ``manifold`` and ``estimate``, which run no trials, read.
-    """
-    offsets = _pick(args.offsets, config, "offsets", None)
-    if isinstance(offsets, str):
-        offsets = _parse_offsets(offsets)
-    elif offsets is not None:
-        offsets = tuple(float(o) for o in offsets)
-    n_elements = _pick(args.elements, config, "elements", 6)
-    if offsets is not None and args.elements is None and "elements" not in config:
-        n_elements = len(offsets)
-    return TrialConfig(
-        n_elements=n_elements,
-        grid_step_deg=_pick(args.grid_step, config, "grid_step", 1.0),
-        offsets_deg=offsets,
-        pattern=_load_pattern(args.pattern),
-    )
-
-
-def _trial_config(args, config: dict, epsilon_default: float = 0.0) -> TrialConfig:
-    return replace(
-        _layout_config(args, config),
-        snr_db=_pick(getattr(args, "snr_db_fixed", None), config, "snr_db_fixed", 10.0),
-        manifold_error=_pick(
-            getattr(args, "epsilon_fixed", None), config, "epsilon_fixed", epsilon_default
-        ),
-        n_trials=_pick(args.trials, config, "trials", 3600),
-        seed=_pick(args.seed, config, "seed", DEFAULT_SEED),
-        success_threshold_deg=_pick(args.threshold_deg, config, "threshold", 2.0),
-    )
+def _trial_config(args, config: dict, table=_TRIAL, **defaults) -> TrialConfig:
+    """The run configuration from ``table``'s keys and the pattern; ``defaults``
+    replace TrialConfig's for one subcommand. Offsets without a count set it."""
+    values = {**defaults, **_fields(args, config, table)}
+    if args.offsets is not None:
+        values["offsets_deg"] = _parse_offsets(args.offsets)
+    if "offsets_deg" in values and "n_elements" not in values:
+        values["n_elements"] = ArrayConfig(values["offsets_deg"]).n_elements
+    return TrialConfig(pattern=_load_pattern(args.pattern), **values)
 
 
 def _config_payload(cfg: TrialConfig) -> dict:
@@ -159,7 +143,7 @@ def cmd_fit_pattern(args) -> int:
 
 def cmd_manifold(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    cfg = _layout_config(args, config)
+    cfg = _trial_config(args, config, _LAYOUT)
     array = cfg.array()
     grid = default_grid(cfg.grid_step_deg)
     matrix = manifold_matrix(cfg.pattern, array, grid)
@@ -204,14 +188,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, key: str, runner, flag: str, epsilon_default: float = 0.0) -> int:
+def _run_sweep(args, key: str, runner, flag: str, **defaults) -> int:
     config = _load_config(args.config) if args.config else {}
-    values = _pick(getattr(args, key), config, key, None)
+    values = _given(args, config, key)
     if values is not None and not isinstance(values, list):
         raise ValueError(f"{key} must be a list of values, got {values!r}")
     if not values:
         raise UsageError(f"no sweep values given (use --{flag} or the config file)")
-    cfg = _trial_config(args, config, epsilon_default)
+    cfg = _trial_config(args, config, **defaults)
     report = runner(cfg, values)
     dio.write_sweep_csv(f"{args.out}.csv", report)
     # The swept field is set per row, so the base value would mislead.
@@ -237,19 +221,15 @@ def cmd_sweep_elements(args) -> int:
     # The published protocol for this sweep fixes the manifold error at
     # 0.05; --epsilon and the epsilon_fixed config key override it.
     return _run_sweep(
-        args, "elements_list", run_element_sweep, "elements-list", epsilon_default=0.05
+        args, "elements_list", run_element_sweep, "elements-list", manifold_error=0.05
     )
 
 
 def cmd_estimate(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    cfg = _layout_config(args, config)
+    spec = FilterSpec(**_fields(args, config, _FILTER))
+    cfg = _trial_config(args, config, _LAYOUT)
     rec = dio.read_waveform_csv(args.recording)
-    spec = FilterSpec(
-        low_hz=float(_pick(args.band_low_hz, config, "band_low_hz", 1.0e9)),
-        high_hz=float(_pick(args.band_high_hz, config, "band_high_hz", 2.0e9)),
-        n_taps=_pick(args.taps, config, "taps", 101),
-    )
     array = cfg.array()
     result = process_recording(
         rec, spec, cfg.pattern, array, default_grid(cfg.grid_step_deg), k_sigma=args.k_sigma
@@ -290,7 +270,10 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     _add_layout_flags(parser)
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--trials", type=int, default=None, help="trials per setting")
-    parser.add_argument("--threshold-deg", type=float, default=None, help="success threshold, degrees")
+    parser.add_argument(
+        "--threshold-deg", dest="threshold", type=float, default=None,
+        help="success threshold, degrees",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,7 @@ from .estimator import (
     sample_covariance,
     spatial_spectrum,
 )
-from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
+from .manifold import ArrayConfig, _integer, _number, manifold_matrix, perturb, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
 from .signal import (
     DEFAULT_PULSE,
@@ -100,20 +100,12 @@ class TrialConfig:
 
     def __post_init__(self):
         for name in ("n_elements", "n_trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         for name in ("snr_db", "manifold_error", "success_threshold_deg", "grid_step_deg"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)
-            ):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            value = _number(name, getattr(self, name))
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            # An int is kept as the float it stands for, so written output
-            # does not depend on how the value was spelled.
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if not 0.0 < self.grid_step_deg <= 360.0:
             raise ValueError(f"grid_step_deg must be in (0, 360], got {self.grid_step_deg}")
         if self.n_trials < 1:
@@ -126,10 +118,12 @@ class TrialConfig:
             )
         if self.manifold_error < 0.0:
             raise ValueError(f"manifold_error must be >= 0, got {self.manifold_error}")
-        n_offsets = self.array().n_elements  # also validates the layout
-        if n_offsets != self.n_elements:
+        array = self.array()  # also validates the layout
+        if self.offsets_deg is not None:  # as the array's floats, in a hashable tuple
+            object.__setattr__(self, "offsets_deg", array.offsets_deg)
+        if array.n_elements != self.n_elements:
             raise ValueError(
-                f"offsets_deg has {n_offsets} entries but n_elements is {self.n_elements}"
+                f"offsets_deg has {array.n_elements} entries but n_elements is {self.n_elements}"
             )
 
     def array(self) -> ArrayConfig:

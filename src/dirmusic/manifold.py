@@ -17,6 +17,19 @@ from .pattern import GaussianMixturePattern, eval_pattern
 __all__ = ["ArrayConfig", "steering_vector", "manifold_matrix", "perturb"]
 
 
+def _integer(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """``value`` as the float it stands for, if it is a number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Circular array geometry given by per-element boresight offsets.
@@ -29,16 +42,18 @@ class ArrayConfig:
     offsets_deg: tuple[float, ...]
 
     def __post_init__(self):
-        offsets = tuple(float(o) for o in self.offsets_deg)
+        if not isinstance(self.offsets_deg, (tuple, list, np.ndarray)):
+            raise ValueError(f"offsets_deg must be a list of numbers, got {self.offsets_deg!r}")
+        offsets = tuple(_number("offsets_deg", o) for o in self.offsets_deg)
         if not offsets:
-            raise ValueError("array needs at least one element")
+            raise ValueError("offsets_deg must have at least one entry")
         arr = np.asarray(offsets)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("offsets must be finite")
+            raise ValueError("offsets_deg must be finite")
         if np.any(arr < 0.0) or np.any(arr >= 360.0):
-            raise ValueError("offsets must lie in [0, 360)")
+            raise ValueError("offsets_deg must lie in [0, 360)")
         if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            raise ValueError("offsets must be strictly increasing")
+            raise ValueError("offsets_deg must be strictly increasing")
         object.__setattr__(self, "offsets_deg", offsets)
 
     @property

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import DoaEstimate, estimate_doa
-from .manifold import ArrayConfig
+from .manifold import ArrayConfig, _integer, _number
 from .pattern import GaussianMixturePattern
 
 __all__ = [
@@ -100,12 +100,13 @@ class FilterSpec:
     n_taps: int = 101
 
     def __post_init__(self):
+        object.__setattr__(self, "low_hz", _number("low_hz", self.low_hz))
+        object.__setattr__(self, "high_hz", _number("high_hz", self.high_hz))
         if not (0.0 < self.low_hz < self.high_hz):
             raise ValueError(
                 f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}"
             )
-        if isinstance(self.n_taps, bool) or not isinstance(self.n_taps, (int, np.integer)):
-            raise ValueError(f"n_taps must be an integer, got {self.n_taps!r}")
+        _integer("n_taps", self.n_taps)
         if self.n_taps < 11 or self.n_taps % 2 == 0:
             raise ValueError(f"n_taps must be odd and >= 11, got {self.n_taps}")
 

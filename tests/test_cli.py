@@ -10,11 +10,20 @@ import pytest
 
 import dirmusic
 from dirmusic import io as dio
-from dirmusic.cli import EXIT_IO, EXIT_NO_PULSE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from dirmusic.cli import (
+    EXIT_IO,
+    EXIT_NO_PULSE,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    _config_payload,
+    main,
+)
 from dirmusic.estimator import default_grid
+from dirmusic.experiments import TrialConfig
 from dirmusic.manifold import ArrayConfig, manifold_matrix, steering_vector
 from dirmusic.pattern import DEFAULT_PATTERN, GaussianMixturePattern, eval_pattern
-from dirmusic.pipeline import Recording
+from dirmusic.pipeline import FilterSpec, Recording
 from dirmusic.signal import PulseModel, SamplingSpec, pd_pulse, synthesize_clean
 
 
@@ -93,6 +102,30 @@ class TestManifoldDump:
 @pytest.mark.parametrize("flag", ["--trials", "--seed", "--threshold-deg"])
 def test_trial_flags_rejected_where_no_trial_runs(command, flag):
     assert main(command + [flag, "1"]) == EXIT_USAGE
+
+
+def test_unset_values_take_the_dataclass_defaults(tmp_path):
+    assert main(["simulate", "--trials", "2", "--out", str(tmp_path / "run")]) == EXIT_OK
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    expected = _config_payload(TrialConfig(n_trials=2))
+    assert {key: summary[key] for key in expected} == expected
+
+    _write_recording(tmp_path / "wave.csv")
+    out = tmp_path / "result.json"
+    code = main(["estimate", str(tmp_path / "wave.csv"), "--offsets", "0,60,120,180",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    spec = FilterSpec()
+    assert payload["filter_band_hz"] == [spec.low_hz, spec.high_hz]
+    assert payload["n_taps"] == spec.n_taps
+    assert payload["grid_step_deg"] == TrialConfig().grid_step_deg
+
+    # the published element-sweep protocol fixes the manifold error at 0.05
+    code = main(["sweep-elements", "--elements-list", "2", "--trials", "2",
+                 "--out", str(tmp_path / "el")])
+    assert code == EXIT_OK
+    assert json.loads((tmp_path / "el.json").read_text())["config"]["manifold_error"] == 0.05
 
 
 def test_cli_import_loads_no_scipy():
@@ -210,9 +243,10 @@ class TestSweeps:
             (["sweep-snr"], {"snr_db": [True, "5"]}, "snr_db"),
             (["sweep-error"], {"epsilon": [0.05, "0.1"]}, "manifold_error"),
             (["manifold"], {"grid_step": True}, "grid_step_deg"),
+            (["simulate"], {"offsets": [0, "60", 120, 180]}, "offsets_deg"),
         ],
         ids=["bool_snr", "string_threshold", "string_epsilon", "bool_and_string_snr_list",
-             "string_in_epsilon_list", "bool_grid_step"],
+             "string_in_epsilon_list", "bool_grid_step", "string_in_offsets"],
     )
     def test_non_number_config_value_is_parse_error(
         self, tmp_path, capsys, monkeypatch, command, values, field
@@ -223,6 +257,40 @@ class TestSweeps:
         assert code == EXIT_PARSE
         assert f"{field} must be a number" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "command, values, message",
+        [
+            (["estimate", "wave.csv"], {"offsets": 5}, "offsets_deg must be a list of numbers"),
+            (["manifold"], {"offsets": {"a": 1}}, "offsets_deg must be a list of numbers"),
+            (["estimate", "wave.csv"], {"offsets": [[1], 60, 120, 180]},
+             "offsets_deg must be a number"),
+            (["estimate", "wave.csv"], {"offsets": [True, 60, 120, 180]},
+             "offsets_deg must be a number"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"band_low_hz": [1]},
+             "low_hz must be a number"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"band_low_hz": True},
+             "low_hz must be a number"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"band_low_hz": "abc"},
+             "low_hz must be a number"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"band_high_hz": "2e9"},
+             "high_hz must be a number"),
+        ],
+        ids=["scalar_offsets", "dict_offsets", "list_in_offsets", "bool_in_offsets",
+             "list_band_low", "bool_band_low", "string_band_low", "string_band_high"],
+    )
+    def test_bad_layout_or_filter_config_value_is_parse_error(
+        self, tmp_path, capsys, monkeypatch, command, values, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        _write_recording(tmp_path / "wave.csv")
+        (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, **values}))
+        code = main(command + ["--config", "config.json", "--out", "out"])
+        assert code == EXIT_PARSE
+        printed = capsys.readouterr()
+        assert message in printed.err
+        assert printed.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "wave.csv"]
 
     def test_sweep_values_must_be_a_list(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -288,6 +356,25 @@ class TestSweeps:
 
 
 class TestEstimate:
+    def test_integer_band_and_offsets_write_the_same_bytes_as_floats(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        _write_recording(tmp_path / "wave.csv")
+        written = []
+        for tag, values in (
+            ("int", {"band_low_hz": 1000000000, "band_high_hz": 2000000000,
+                     "offsets": [0, 60, 120, 180]}),
+            ("float", {"band_low_hz": 1.0e9, "band_high_hz": 2.0e9,
+                       "offsets": [0.0, 60.0, 120.0, 180.0]}),
+        ):
+            Path(f"{tag}.json").write_text(json.dumps({"schema_version": 1, **values}))
+            code = main(["estimate", "wave.csv", "--config", f"{tag}.json", "--out", tag])
+            assert code == EXIT_OK
+            written.append((capsys.readouterr().out, Path(tag).read_bytes()))
+        assert written[0] == written[1]
+        assert json.loads(written[0][1])["filter_band_hz"] == [1.0e9, 2.0e9]
+
     def test_recovers_direction_from_fixture(self, tmp_path):
         wave = tmp_path / "wave.csv"
         _write_recording(wave)

@@ -25,6 +25,25 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(offsets)
 
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            ((True, 60.0), "offsets_deg must be a number"),
+            ((0.0, "60"), "offsets_deg must be a number"),
+            (5.0, "offsets_deg must be a list of numbers"),
+            ("0,60", "offsets_deg must be a list of numbers"),
+        ],
+        ids=["bool_entry", "string_entry", "scalar", "string"],
+    )
+    def test_offsets_must_be_a_list_of_numbers(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            ArrayConfig(offsets)
+
+    def test_integer_offsets_are_stored_as_float(self):
+        offsets = ArrayConfig([0, np.int64(60)]).offsets_deg
+        assert offsets == (0.0, 60.0)
+        assert all(type(o) is float for o in offsets)
+
     def test_uniform_rejects_zero_elements(self):
         with pytest.raises(ValueError):
             ArrayConfig.uniform(0)

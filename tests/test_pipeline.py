@@ -169,6 +169,15 @@ class TestFilterSpec:
             with pytest.raises(ValueError, match="n_taps must be an integer"):
                 FilterSpec(n_taps=n_taps)
         assert FilterSpec(n_taps=np.int64(101)).kernel(10e9).size == 101
+        for field in ("low_hz", "high_hz"):
+            for value in (True, "2e9", [1]):
+                with pytest.raises(ValueError, match=f"{field} must be a number"):
+                    FilterSpec(**{field: value})
+
+    def test_integer_band_edges_are_stored_as_float(self):
+        spec = FilterSpec(low_hz=1_000_000_000, high_hz=np.int64(2_000_000_000))
+        assert (spec.low_hz, spec.high_hz) == (1.0e9, 2.0e9)
+        assert type(spec.low_hz) is float and type(spec.high_hz) is float
 
     def test_band_must_fit_below_nyquist(self):
         with pytest.raises(ValueError):
