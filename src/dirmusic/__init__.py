@@ -41,6 +41,7 @@ from .pattern import (
     wrap_angle,
 )
 from .pipeline import (
+    DEFAULT_K_SIGMA,
     FilterSpec,
     NoPulseFoundError,
     PipelineResult,

@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .manifold import ArrayConfig, manifold_matrix
 from .pattern import DEFAULT_PATTERN, fit_pattern
-from .pipeline import FilterSpec, NoPulseFoundError, process_recording
+from .pipeline import DEFAULT_K_SIGMA, FilterSpec, NoPulseFoundError, process_recording
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,17 +148,14 @@ def cmd_manifold(args) -> int:
     grid = default_grid(cfg.grid_step_deg)
     matrix = manifold_matrix(cfg.pattern, array, grid)
 
-    def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(["angle_deg"] + [f"g{k + 1}" for k in range(array.n_elements)])
-        for j, angle in enumerate(grid):
-            writer.writerow([repr(float(angle))] + [repr(float(v)) for v in matrix[:, j]])
-
+    header = ["angle_deg"] + [f"g{k + 1}" for k in range(array.n_elements)]
+    rows = np.column_stack([grid, matrix.T]).tolist()
     if args.out:
-        with dio._atomic_open(args.out) as handle:
-            write(handle)
+        dio.write_table(args.out, header, rows)
     else:
-        write(sys.stdout)
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -337,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-low-hz", type=float, default=None)
     p.add_argument("--band-high-hz", type=float, default=None)
     p.add_argument("--taps", type=int, default=None)
-    p.add_argument("--k-sigma", type=float, default=5.0, help="detection threshold multiplier")
+    p.add_argument(
+        "--k-sigma", type=float, default=DEFAULT_K_SIGMA, help="detection threshold multiplier"
+    )
     p.add_argument("--out", default=None, help="result JSON path")
     p.set_defaults(func=cmd_estimate)
 

@@ -1,11 +1,15 @@
 """File formats: pattern tables, waveform CSV, sweep reports.
 
-All writers go through a temp-file-plus-rename so interrupted runs never
-leave half-written artifacts.
+Every CSV file is read through one header check and one row parser, so a
+malformed row fails naming its file and line, and written through
+:func:`write_table` (the waveform body streams on its own). All writers
+go through a temp-file-plus-rename so interrupted runs never leave
+half-written artifacts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -24,13 +28,13 @@ __all__ = [
     "read_pattern_csv",
     "write_pattern_csv",
     "read_pattern_samples_csv",
-    "write_pattern_samples_csv",
     "read_waveform_csv",
     "write_waveform_csv",
     "write_sweep_csv",
     "write_sweep_json",
     "write_trials_csv",
     "write_json",
+    "write_table",
 ]
 
 SCHEMA_VERSION = 1
@@ -53,7 +57,8 @@ _TRIALS_HEADER = ["theta_true_deg", "theta_hat_deg", "error_deg", "success"]
 _WAVEFORM_BLOCK = 1024
 
 
-class _atomic_open:
+@contextlib.contextmanager
+def _atomic_open(path):
     """``with _atomic_open(path) as handle:`` writes text to a temp file
     beside ``path`` and renames it over ``path`` when the block ends.
 
@@ -61,42 +66,34 @@ class _atomic_open:
     ``path`` keeps its own, a new one gets 0o666 less the umask. On any
     exception the temp file is removed and ``path`` is untouched.
     """
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def __enter__(self):
+    path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    try:
         try:
-            mode = stat.S_IMODE(os.stat(self.path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, self.tmp = tempfile.mkstemp(
-            dir=self.path.parent or Path("."), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            os.chmod(self.tmp, mode)
-            self.handle = os.fdopen(fd, "w", newline="")
+            os.chmod(tmp, mode)
+            handle = os.fdopen(fd, "w", newline="")
         except BaseException:
-            os.close(fd)
-            os.unlink(self.tmp)
+            os.close(fd)  # no handle owns it yet
             raise
-        return self.handle
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            self.handle.close()
-            if exc_type is None:
-                os.replace(self.tmp, self.path)
-        except BaseException:
-            os.unlink(self.tmp)
-            raise
-        if exc_type is not None:
-            os.unlink(self.tmp)
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _check_header(actual: list[str], expected: list[str], path) -> None:
+def _check_header(actual, expected: list[str], path) -> None:
+    """Raise ValueError naming the first column of ``actual``, a parsed
+    header line or None for an empty file, that differs from ``expected``."""
+    if not actual:
+        raise ValueError(f"{path}: empty file or blank header line")
     actual = [c.strip() for c in actual]
     if actual != expected:
         for got, want in zip(actual, expected):
@@ -109,52 +106,66 @@ def _check_header(actual: list[str], expected: list[str], path) -> None:
         )
 
 
-def write_pattern_csv(path, pattern: GaussianMixturePattern) -> None:
-    """One row per Gaussian lobe: amplitude, center_deg, width_deg."""
+def _parse_rows(reader, n_fields: int, path) -> np.ndarray:
+    """The numeric body that ``reader``, a ``csv.reader`` past the header,
+    yields, as a float array of shape (rows, n_fields). Blank lines are
+    skipped; a row of another width or with a cell that is not a number
+    raises ValueError naming the file and the line."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise ValueError(
+                f"{path}: row {reader.line_num} has {len(row)} fields, expected {n_fields}"
+            )
+        values = []
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {reader.line_num} has a non-numeric cell {cell!r}"
+                ) from None
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, n_fields)
+
+
+def _read_table(path, header: list[str]) -> np.ndarray:
+    """The body of a numeric CSV file whose header must be ``header``."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        _check_header(next(reader, None), header, path)
+        return _parse_rows(reader, len(header), path)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV file atomically: the ``header`` line, then one line per
+    row of ``rows``. A float is written as its repr, so the text reads
+    back exactly; every line ends in ``\\r\\n``."""
     with _atomic_open(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(_PATTERN_HEADER)
-        for comp in pattern.components:
-            writer.writerow(
-                [repr(float(comp.amplitude)), repr(float(comp.center_deg)), repr(float(comp.width_deg))]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_pattern_csv(path, pattern: GaussianMixturePattern) -> None:
+    """One row per Gaussian lobe: amplitude, center_deg, width_deg."""
+    write_table(path, _PATTERN_HEADER, pattern.as_params().tolist())
 
 
 def read_pattern_csv(path) -> GaussianMixturePattern:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty pattern file")
-        _check_header(header, _PATTERN_HEADER, path)
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
+    rows = _read_table(path, _PATTERN_HEADER)
+    if not rows.size:
         raise ValueError(f"{path}: pattern file has no components")
     return GaussianMixturePattern.from_params(rows)
 
 
-def write_pattern_samples_csv(path, angles_deg, gains) -> None:
-    """Measured-pattern samples: angle_deg, gain."""
-    angles = np.asarray(angles_deg, dtype=float).ravel()
-    values = np.asarray(gains, dtype=float).ravel()
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SAMPLES_HEADER)
-        for a, g in zip(angles, values):
-            writer.writerow([repr(float(a)), repr(float(g))])
-
-
 def read_pattern_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty samples file")
-        _check_header(header, _SAMPLES_HEADER, path)
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if not rows:
+    """Measured-pattern samples, columns angle_deg and gain."""
+    data = _read_table(path, _SAMPLES_HEADER)
+    if not data.size:
         raise ValueError(f"{path}: no samples")
-    data = np.asarray(rows)
     return data[:, 0], data[:, 1]
 
 
@@ -180,50 +191,19 @@ def write_waveform_csv(path, rec: Recording) -> None:
             handle.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
-def _bad_row_error(path, n_fields: int) -> ValueError:
-    """Name the first malformed row of a waveform body np.loadtxt rejected."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n_fields:
-                return ValueError(
-                    f"{path}: row {reader.line_num} has {len(row)} fields, expected {n_fields}"
-                )
-            for cell in row:
-                try:
-                    float(cell)
-                except ValueError:
-                    return ValueError(
-                        f"{path}: row {reader.line_num} has a non-numeric cell {cell!r}"
-                    )
-    return ValueError(f"{path}: unreadable waveform data")
-
-
 def read_waveform_csv(path) -> Recording:
     """Parse a waveform CSV; the sample rate is inferred from the time column.
 
     The header is read with ``csv``; the body, one row of ``time_s`` and
     the channel values per line, is parsed by ``np.loadtxt``. Blank
-    lines are skipped.
+    lines are skipped. A body ``np.loadtxt`` rejects goes through the row
+    parser of the other CSV files, which names the first bad row.
     """
     with open(path, newline="") as handle:
         header = next(csv.reader(handle), None)
-        if not header:
-            raise ValueError(f"{path}: empty waveform file or blank header line")
-        header = [c.strip() for c in header]
-        if header[0] != "time_s":
-            raise ValueError(f"{path}: first column must be 'time_s', got {header[0]!r}")
-        for i, name in enumerate(header[1:]):
-            if name != f"ch{i + 1}":
-                raise ValueError(
-                    f"{path}: unexpected column {name!r}, expected 'ch{i + 1}'"
-                )
-        n_channels = len(header) - 1
-        if n_channels < 1:
-            raise ValueError(f"{path}: no channel columns")
+        # At least one channel: a lone time_s column fails as too short.
+        n_fields = max(len(header or ()), 2)
+        _check_header(header, ["time_s"] + [f"ch{i}" for i in range(1, n_fields)], path)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # empty body, rejected below
@@ -231,9 +211,12 @@ def read_waveform_csv(path) -> Recording:
                     handle, delimiter=",", ndmin=2, comments=None, quotechar='"'
                 )
         except ValueError:
-            raise _bad_row_error(path, n_channels + 1) from None
-    if data.size and data.shape[1] != n_channels + 1:
-        raise _bad_row_error(path, n_channels + 1)
+            data = None
+    if data is None or (data.size and data.shape[1] != n_fields):
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            data = _parse_rows(reader, n_fields, path)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     times = data[:, 0]
@@ -258,11 +241,7 @@ def _sweep_records(report: SweepReport) -> list[dict]:
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SWEEP_HEADER)
-        # csv writes a float by its repr, so the text round-trips exactly.
-        writer.writerows(record.values() for record in _sweep_records(report))
+    write_table(path, _SWEEP_HEADER, (record.values() for record in _sweep_records(report)))
 
 
 def write_sweep_json(path, report: SweepReport, config_meta: dict) -> None:
@@ -278,13 +257,16 @@ def write_sweep_json(path, report: SweepReport, config_meta: dict) -> None:
 
 
 def write_trials_csv(path, batch: TrialBatch) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TRIALS_HEADER)
-        for *angles, ok in zip(
-            batch.theta_true_deg, batch.theta_hat_deg, batch.error_deg, batch.success
-        ):
-            writer.writerow([repr(float(a)) for a in angles] + [int(ok)])
+    write_table(
+        path,
+        _TRIALS_HEADER,
+        (
+            [float(a) for a in angles] + [int(ok)]
+            for *angles, ok in zip(
+                batch.theta_true_deg, batch.theta_hat_deg, batch.error_deg, batch.success
+            )
+        ),
+    )
 
 
 def write_json(path, payload: dict) -> None:

@@ -201,7 +201,7 @@ def _initial_params(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(rows, dtype=float).ravel()
 
 
-def fit_pattern(angles_deg, gains, n_components: int = 3) -> PatternFit:
+def fit_pattern(angles_deg, gains, n_components: int) -> PatternFit:
     """Fit a Gaussian mixture to measured (angle, gain) samples.
 
     Minimizes the sum of squared residuals with scipy's trust-region

@@ -20,6 +20,7 @@ from .manifold import ArrayConfig, _integer, _number
 from .pattern import GaussianMixturePattern
 
 __all__ = [
+    "DEFAULT_K_SIGMA",
     "Recording",
     "FilterSpec",
     "PulseWindow",
@@ -31,6 +32,10 @@ __all__ = [
     "process_recording",
 ]
 
+
+#: Detection threshold in noise standard deviations, the default of
+#: detect_pulse, process_recording and the CLI's --k-sigma.
+DEFAULT_K_SIGMA = 5.0
 
 #: Window margins around the detected peak, before and after it.
 _PRE_MARGIN_S = 5e-9
@@ -291,7 +296,7 @@ def bandpass(rec: Recording, spec: FilterSpec) -> Recording:
     return filtered
 
 
-def detect_pulse(rec: Recording, k_sigma: float = 5.0) -> PulseWindow:
+def detect_pulse(rec: Recording, k_sigma: float = DEFAULT_K_SIGMA) -> PulseWindow:
     """Locate the strongest pulse and return a window around it.
 
     The global maximum magnitude across channels marks the pulse; the
@@ -361,7 +366,7 @@ def process_recording(
     array: ArrayConfig,
     grid_deg=None,
     *,
-    k_sigma: float = 5.0,
+    k_sigma: float = DEFAULT_K_SIGMA,
 ) -> PipelineResult:
     """Bandpass, intercept the pulse, normalize, estimate the direction.
 

@@ -40,16 +40,13 @@ from dirmusic.experiments import (
     run_element_sweep,
     run_manifold_error_sweep,
     run_snr_sweep,
+    summarize,
 )
 
 BASE = TrialConfig()  # 6 elements, 3600 trials, 1 deg grid, 2 deg threshold
 SUBSET4 = (0.0, 60.0, 120.0, 180.0)
 FAST_SPEC = SamplingSpec(rate_hz=10e9, n_samples=512)  # noise-free checks
 SNRS = (10, 5, 0, -5, -10)  # dB, criteria 1, 2 and 5
-
-
-def _accuracy(batch):
-    return float(np.mean(batch.success))
 
 
 def _errors(batch):
@@ -60,7 +57,7 @@ def _scatter(batch, low=-np.inf, high=np.inf):
     """Detail for an accuracy band check: the binomial standard error
     sqrt(p (1 - p) / n) and the signed distance to the nearer band edge
     in standard errors, positive inside the band."""
-    p, n = _accuracy(batch), batch.success.size
+    p, n = summarize(batch).accuracy, batch.success.size
     se = float(np.sqrt(p * (1.0 - p) / n))
     margin = min(p - low, high - p)
     distance = margin / se if se > 0.0 else float(np.copysign(np.inf, margin))
@@ -105,7 +102,7 @@ def snr_batches_4el():
 
 def test_criterion_1_snr_accuracy_6_elements(snr_batches_6el):
     batches = snr_batches_6el
-    acc = {snr: _accuracy(batch) for snr, batch in batches.items()}
+    acc = {snr: summarize(batch).accuracy for snr, batch in batches.items()}
     checks = [
         (
             f"accuracy at {snr} dB",
@@ -143,7 +140,7 @@ def test_criterion_2_low_snr_error_statistics(snr_batches_6el):
 
 def test_criterion_3_manifold_error_sweep(eps_batches_6el):
     levels = (0.025, 0.05, 0.075, 0.1)
-    acc = {e: _accuracy(eps_batches_6el[e]) for e in levels}
+    acc = {e: summarize(eps_batches_6el[e]).accuracy for e in levels}
     err = {e: _errors(eps_batches_6el[e]) for e in levels}
     stds = {e: err[e].std() for e in levels}
     checks = [
@@ -189,7 +186,7 @@ def test_criterion_3_manifold_error_sweep(eps_batches_6el):
 
 def test_criterion_4_element_count_sweep(element_batches):
     counts = (1, 2, 4, 6, 8, 10)
-    acc = {n: _accuracy(element_batches[n]) for n in counts}
+    acc = {n: summarize(element_batches[n]).accuracy for n in counts}
     checks = [
         (
             "accuracy with 1 element",
@@ -213,7 +210,7 @@ def test_criterion_4_element_count_sweep(element_batches):
 
 def test_criterion_5_snr_accuracy_4_element_subset(snr_batches_4el):
     batches = snr_batches_4el
-    acc = {snr: _accuracy(batch) for snr, batch in batches.items()}
+    acc = {snr: summarize(batch).accuracy for snr, batch in batches.items()}
     checks = [
         (
             f"accuracy at {snr} dB",

@@ -44,7 +44,9 @@ class TestFitPattern:
     def test_fit_demo_samples(self, tmp_path):
         samples = tmp_path / "samples.csv"
         angles = np.arange(0.0, 360.0, 2.0)
-        dio.write_pattern_samples_csv(samples, angles, eval_pattern(DEFAULT_PATTERN, angles))
+        dio.write_table(
+            samples, ["angle_deg", "gain"], zip(angles, eval_pattern(DEFAULT_PATTERN, angles))
+        )
         out = tmp_path / "fit.csv"
         code = main(["fit-pattern", str(samples), "--components", "3", "--out", str(out)])
         assert code == EXIT_OK
@@ -55,7 +57,7 @@ class TestFitPattern:
 
     def test_zero_components_is_usage_error(self, tmp_path):
         samples = tmp_path / "samples.csv"
-        dio.write_pattern_samples_csv(samples, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        dio.write_table(samples, ["angle_deg", "gain"], [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
         code = main(["fit-pattern", str(samples), "--components", "0", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
@@ -63,6 +65,36 @@ class TestFitPattern:
         code = main(["fit-pattern", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_IO
         assert "nope.csv" in capsys.readouterr().err
+
+
+# Each input file has one malformed row; the run must name the file and
+# the line, exit 4 and write nothing.
+_PATTERN = "amplitude,center_deg,width_deg\n"
+_SAMPLES = "angle_deg,gain\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["manifold", "--pattern"], _PATTERN + "1,2,3,4\n" * 3, "row 2 has 4 fields, expected 3"),
+        (["manifold", "--pattern"], _PATTERN + "0.5,218.1\n", "row 2 has 2 fields, expected 3"),
+        (["manifold", "--pattern"], _PATTERN + "0.5,abc,51\n", "row 2 has a non-numeric cell 'abc'"),
+        (["fit-pattern"], _SAMPLES + "0,1\n5\n", "row 3 has 1 fields, expected 2"),
+        (["fit-pattern"], _SAMPLES + "0,1,7\n" * 4, "row 2 has 3 fields, expected 2"),
+    ],
+    ids=["pattern_four_fields", "pattern_two_fields", "pattern_non_numeric",
+         "samples_one_field", "samples_three_fields"],
+)
+def test_malformed_csv_row_is_parse_error_naming_file_and_line(
+    tmp_path, capsys, command, text, message
+):
+    source = tmp_path / "input.csv"
+    source.write_text(text)
+    out = tmp_path / "out.csv"
+    extra = ["--components", "1"] if command == ["fit-pattern"] else ["--grid-step", "90"]
+    assert main(command + [str(source), *extra, "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.csv"]
 
 
 class TestManifoldDump:

@@ -7,7 +7,7 @@ import stat
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dirmusic import io as dio
 from dirmusic.experiments import SweepReport, SweepRow, TrialBatch, summarize
@@ -34,16 +34,46 @@ class TestPatternFiles:
         with pytest.raises(ValueError):
             dio.read_pattern_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2,3,4\n1,2,3,4\n1,2,3,4\n", "row 2 has 4 fields, expected 3"),
+            ("0.5,218.1\n", "row 2 has 2 fields, expected 3"),
+            ("1,2,3\n\n0.5,abc,51\n", "row 4 has a non-numeric cell 'abc'"),
+        ],
+        ids=["four_fields", "two_fields", "non_numeric"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "pattern.csv"
+        path.write_text("amplitude,center_deg,width_deg\n" + body)
+        with pytest.raises(ValueError, match=f"pattern.csv: {message}"):
+            dio.read_pattern_csv(path)
+
 
 class TestSampleFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "samples.csv"
         angles = np.arange(0.0, 360.0, 5.0)
         gains = np.linspace(0.0, 1.0, angles.size)
-        dio.write_pattern_samples_csv(path, angles, gains)
+        dio.write_table(path, ["angle_deg", "gain"], zip(angles, gains))
         a, g = dio.read_pattern_samples_csv(path)
-        assert_allclose(a, angles)
-        assert_allclose(g, gains)
+        assert_array_equal(a, angles)
+        assert_array_equal(g, gains)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1\n5\n", "row 3 has 1 fields, expected 2"),
+            ("0,1,7\n10,1,7\n", "row 2 has 3 fields, expected 2"),
+            ("0,1\n10,high\n", "row 3 has a non-numeric cell 'high'"),
+        ],
+        ids=["one_field", "three_fields", "non_numeric"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "samples.csv"
+        path.write_text("angle_deg,gain\n" + body)
+        with pytest.raises(ValueError, match=f"samples.csv: {message}"):
+            dio.read_pattern_samples_csv(path)
 
 
 class TestWaveformFiles:
@@ -205,6 +235,19 @@ class TestReportFiles:
             ),
             id="sweep_json",
         ),
+        pytest.param(lambda path: dio.write_pattern_csv(path, DEFAULT_PATTERN), id="pattern_csv"),
+        pytest.param(
+            lambda path: dio.write_sweep_csv(path, _sweep_report([(1.0, [0.0])])),
+            id="sweep_csv",
+        ),
+        pytest.param(
+            lambda path: dio.write_trials_csv(
+                path, TrialBatch(np.ones(2), np.ones(2), np.zeros(2), np.ones(2, dtype=bool))
+            ),
+            id="trials_csv",
+        ),
+        pytest.param(lambda path: dio.write_json(path, {"a": 1}), id="json"),
+        pytest.param(lambda path: dio.write_table(path, ["x"], [[1.0]]), id="table"),
     ],
 )
 def test_failed_rename_keeps_target_and_removes_temp_file(tmp_path, monkeypatch, write):
@@ -253,3 +296,23 @@ def test_written_file_mode_follows_umask_and_existing_target(tmp_path, umask, ne
     finally:
         os.umask(old_umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
+
+def test_failed_open_closes_descriptor_and_removes_temp_file(tmp_path, monkeypatch):
+    mkstemp, made = dio.tempfile.mkstemp, []
+
+    def record(**kwargs):
+        made.append(mkstemp(**kwargs))
+        return made[-1]
+
+    def fail(*args, **kwargs):
+        raise OSError("fdopen failed")
+
+    monkeypatch.setattr(dio.tempfile, "mkstemp", record)
+    monkeypatch.setattr(dio.os, "fdopen", fail)
+    with pytest.raises(OSError, match="fdopen failed"):
+        dio.write_json(tmp_path / "out.json", {})
+    [(fd, _)] = made
+    with pytest.raises(OSError):  # closed, so no longer a valid descriptor
+        os.fstat(fd)
+    assert list(tmp_path.iterdir()) == []

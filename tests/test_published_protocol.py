@@ -18,23 +18,18 @@ import dataclasses
 
 import numpy as np
 
-from dirmusic.experiments import TrialConfig, run_batch
+from dirmusic.experiments import TrialConfig, run_batch, run_manifold_error_sweep, summarize
 
 PUBLISHED = TrialConfig(
     n_trials=1200, integer_directions=True, inclusive_success=True
 )
 
 
-def _accuracy(batch):
-    return float(np.mean(batch.success))
-
-
 def test_error_sweep_endpoints_match_published_values():
-    low = run_batch(dataclasses.replace(PUBLISHED, manifold_error=0.025))
-    high = run_batch(dataclasses.replace(PUBLISHED, manifold_error=0.1))
+    low, high = run_manifold_error_sweep(PUBLISHED, [0.025, 0.1]).batches
     # published: 98.30% and 42.89%, stds 1.13 and 4.29 degrees
-    assert _accuracy(low) >= 0.96
-    assert 0.38 <= _accuracy(high) <= 0.49
+    assert summarize(low).accuracy >= 0.96
+    assert 0.38 <= summarize(high).accuracy <= 0.49
     assert abs(np.std(low.error_deg) - 1.13) <= 0.3
     assert abs(np.std(high.error_deg) - 4.29) <= 0.6
 
@@ -47,8 +42,8 @@ def test_element_sweep_endpoints_match_published_values():
         dataclasses.replace(PUBLISHED, n_elements=10, manifold_error=0.05)
     )
     # published: 1% with one element, 86.06% with ten
-    assert _accuracy(one) <= 0.05
-    assert 0.83 <= _accuracy(ten) <= 0.92
+    assert summarize(one).accuracy <= 0.05
+    assert 0.83 <= summarize(ten).accuracy <= 0.92
 
 
 def test_integer_directions_are_whole_degrees():
