@@ -33,7 +33,6 @@ from .experiments import (
 from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
 from .pattern import (
     DEFAULT_PATTERN,
-    GaussianComponent,
     GaussianMixturePattern,
     PatternFit,
     eval_pattern,

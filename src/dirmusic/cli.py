@@ -94,12 +94,6 @@ def _parse_offsets(text: str) -> list[float]:
         raise ValueError(f"invalid offsets list {text!r}") from exc
 
 
-def _load_pattern(source: str):
-    if source == "builtin":
-        return DEFAULT_PATTERN
-    return dio.read_pattern_csv(source)
-
-
 def _trial_config(args, config: dict, table=_TRIAL, **defaults) -> TrialConfig:
     """The run configuration from ``table``'s keys and the pattern; ``defaults``
     replace TrialConfig's for one subcommand. Offsets without a count set it."""
@@ -108,13 +102,23 @@ def _trial_config(args, config: dict, table=_TRIAL, **defaults) -> TrialConfig:
         values["offsets_deg"] = _parse_offsets(args.offsets)
     if "offsets_deg" in values and "n_elements" not in values:
         values["n_elements"] = ArrayConfig(values["offsets_deg"]).n_elements
-    return TrialConfig(pattern=_load_pattern(args.pattern), **values)
+    pattern = DEFAULT_PATTERN if args.pattern == "builtin" else dio.read_pattern_csv(args.pattern)
+    return TrialConfig(pattern=pattern, **values)
+
+
+def _layout_payload(cfg: TrialConfig) -> dict:
+    """The array and the pattern of a run, as every output JSON records them."""
+    return {
+        "n_elements": cfg.n_elements,
+        "offsets_deg": list(cfg.array().offsets_deg),
+        "pattern": cfg.pattern.as_params().tolist(),
+    }
 
 
 def _config_payload(cfg: TrialConfig) -> dict:
     """The run configuration as written into summary and sweep JSON."""
     return {
-        "n_elements": cfg.n_elements,
+        **_layout_payload(cfg),
         "snr_db": cfg.snr_db,
         "manifold_error": cfg.manifold_error,
         "n_trials": cfg.n_trials,
@@ -195,8 +199,10 @@ def _run_sweep(args, key: str, runner, flag: str, **defaults) -> int:
     cfg = _trial_config(args, config, **defaults)
     report = runner(cfg, values)
     dio.write_sweep_csv(f"{args.out}.csv", report)
-    # The swept field is set per row, so the base value would mislead.
-    meta = {k: v for k, v in _config_payload(cfg).items() if k != report.setting_name}
+    # The swept field is set per row, so the base value would mislead; an
+    # element sweep re-derives the layout per row, so it records none of it.
+    swept = _layout_payload(cfg) if report.setting_name == "n_elements" else (report.setting_name,)
+    meta = {k: v for k, v in _config_payload(cfg).items() if k not in swept}
     dio.write_sweep_json(f"{args.out}.json", report, meta)
     for row in report.rows:
         print(
@@ -227,9 +233,8 @@ def cmd_estimate(args) -> int:
     spec = FilterSpec(**_fields(args, config, _FILTER))
     cfg = _trial_config(args, config, _LAYOUT)
     rec = dio.read_waveform_csv(args.recording)
-    array = cfg.array()
     result = process_recording(
-        rec, spec, cfg.pattern, array, default_grid(cfg.grid_step_deg), k_sigma=args.k_sigma
+        rec, spec, cfg.pattern, cfg.array(), default_grid(cfg.grid_step_deg), k_sigma=args.k_sigma
     )
     payload = {
         "schema_version": dio.SCHEMA_VERSION,
@@ -241,9 +246,7 @@ def cmd_estimate(args) -> int:
         "filter_band_hz": [spec.low_hz, spec.high_hz],
         "n_taps": spec.n_taps,
         "grid_step_deg": cfg.grid_step_deg,
-        "n_elements": array.n_elements,
-        "offsets_deg": list(array.offsets_deg),
-        "pattern": cfg.pattern.as_params().tolist(),
+        **_layout_payload(cfg),
         "k_sigma": args.k_sigma,
         "snapshots_used": result.window.stop - result.window.start,
     }

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _number
 from .manifold import ArrayConfig, manifold_matrix
 from .pattern import GaussianMixturePattern
 
@@ -67,7 +68,7 @@ class DoaEstimate:
 
 def default_grid(step_deg: float = 1.0) -> np.ndarray:
     """Azimuth search grid [0, 360) with the given step in degrees."""
-    if not (0.0 < step_deg <= 360.0):
+    if not 0.0 < _number("step_deg", step_deg) <= 360.0:
         raise ValueError(f"step_deg must be in (0, 360], got {step_deg}")
     return np.arange(0.0, 360.0, step_deg)
 

@@ -34,7 +34,8 @@ from .estimator import (
     sample_covariance,
     spatial_spectrum,
 )
-from .manifold import ArrayConfig, _integer, _number, manifold_matrix, perturb, steering_vector
+from ._checks import _integer, _number
+from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
 from .signal import (
     DEFAULT_PULSE,
@@ -99,12 +100,9 @@ class TrialConfig:
 
     def __post_init__(self):
         for name in ("n_elements", "n_trials", "seed"):
-            _integer(name, getattr(self, name))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("snr_db", "manifold_error", "success_threshold_deg", "grid_step_deg"):
-            value = _number(name, getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not 0.0 < self.grid_step_deg <= 360.0:
             raise ValueError(f"grid_step_deg must be in (0, 360], got {self.grid_step_deg}")
         if self.n_trials < 1:
@@ -329,6 +327,8 @@ def _stream_key(cfg: TrialConfig) -> TrialConfig:
 
 def _sweep(name: str, cfgs: list[TrialConfig]) -> SweepReport:
     """Run every setting, one group per stream, and report them in order."""
+    if not cfgs:
+        raise ValueError(f"a {name} sweep needs at least one setting")
     groups: dict = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_stream_key(cfg), []).append(i)
@@ -356,8 +356,6 @@ def run_snr_sweep(cfg: TrialConfig, snr_db_list) -> SweepReport:
     error, so all of them draw the same variates: each trial draws its
     noise once for the whole sweep. Each setting's batch is bit-identical
     to :func:`run_batch` on that setting alone."""
-    if len(snr_db_list) == 0:
-        raise ValueError("snr_db_list must not be empty")
     return _sweep("snr_db", [replace(cfg, snr_db=v) for v in snr_db_list])
 
 
@@ -369,8 +367,6 @@ def run_manifold_error_sweep(cfg: TrialConfig, half_width_list) -> SweepReport:
     width, which draws no uniforms, shares with other zero widths only.
     Each setting's batch is bit-identical to :func:`run_batch` on that
     setting alone."""
-    if len(half_width_list) == 0:
-        raise ValueError("half_width_list must not be empty")
     return _sweep("manifold_error", [replace(cfg, manifold_error=v) for v in half_width_list])
 
 
@@ -378,8 +374,6 @@ def run_element_sweep(cfg: TrialConfig, n_elements_list) -> SweepReport:
     """Accuracy versus element count; the uniform layout is re-derived
     for every count (explicit offsets are dropped). The element count
     sets the shape of the noise draw, so different counts share no draws."""
-    if len(n_elements_list) == 0:
-        raise ValueError("n_elements_list must not be empty")
     return _sweep(
         "n_elements", [replace(cfg, n_elements=v, offsets_deg=None) for v in n_elements_list]
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import stat
 import tempfile
@@ -109,8 +110,9 @@ def _check_header(actual, expected: list[str], path) -> None:
 def _parse_rows(reader, n_fields: int, path) -> np.ndarray:
     """The numeric body that ``reader``, a ``csv.reader`` past the header,
     yields, as a float array of shape (rows, n_fields). Blank lines are
-    skipped; a row of another width or with a cell that is not a number
-    raises ValueError naming the file and the line."""
+    skipped; a row of another width, or with a cell that is not a finite
+    number in ``np.loadtxt``'s grammar (no ``_`` digit separators), raises
+    ValueError naming the file and the line."""
     rows = []
     for row in reader:
         if not row:
@@ -122,21 +124,28 @@ def _parse_rows(reader, n_fields: int, path) -> np.ndarray:
         values = []
         for cell in row:
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {reader.line_num} has a non-numeric cell {cell!r}"
-                ) from None
+                value = None
+            # float() also reads digit separators ("1_0" as 10); np.loadtxt does not.
+            if value is None or "_" in cell:
+                raise ValueError(f"{path}: row {reader.line_num} has a non-numeric cell {cell!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {reader.line_num} has a non-finite cell {cell!r}")
+            values.append(value)
         rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, n_fields)
 
 
 def _read_table(path, header: list[str]) -> np.ndarray:
-    """The body of a numeric CSV file whose header must be ``header``."""
+    """The body, at least one row, of a numeric CSV file whose header must be ``header``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), header, path)
-        return _parse_rows(reader, len(header), path)
+        rows = _parse_rows(reader, len(header), path)
+    if not rows.size:
+        raise ValueError(f"{path}: no rows after the header")
+    return rows
 
 
 def write_table(path, header, rows) -> None:
@@ -151,21 +160,16 @@ def write_table(path, header, rows) -> None:
 
 def write_pattern_csv(path, pattern: GaussianMixturePattern) -> None:
     """One row per Gaussian lobe: amplitude, center_deg, width_deg."""
-    write_table(path, _PATTERN_HEADER, pattern.as_params().tolist())
+    write_table(path, _PATTERN_HEADER, pattern.lobes)
 
 
 def read_pattern_csv(path) -> GaussianMixturePattern:
-    rows = _read_table(path, _PATTERN_HEADER)
-    if not rows.size:
-        raise ValueError(f"{path}: pattern file has no components")
-    return GaussianMixturePattern.from_params(rows)
+    return GaussianMixturePattern(_read_table(path, _PATTERN_HEADER))
 
 
 def read_pattern_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Measured-pattern samples, columns angle_deg and gain."""
     data = _read_table(path, _SAMPLES_HEADER)
-    if not data.size:
-        raise ValueError(f"{path}: no samples")
     return data[:, 0], data[:, 1]
 
 

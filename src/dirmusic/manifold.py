@@ -12,22 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _integer, _number
 from .pattern import GaussianMixturePattern, eval_pattern
 
 __all__ = ["ArrayConfig", "steering_vector", "manifold_matrix", "perturb"]
-
-
-def _integer(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _number(name: str, value) -> float:
-    """``value`` as the float it stands for, if it is a number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -47,13 +35,10 @@ class ArrayConfig:
         offsets = tuple(_number("offsets_deg", o) for o in self.offsets_deg)
         if not offsets:
             raise ValueError("offsets_deg must have at least one entry")
-        arr = np.asarray(offsets)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("offsets_deg must be finite")
-        if np.any(arr < 0.0) or np.any(arr >= 360.0):
-            raise ValueError("offsets_deg must lie in [0, 360)")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            raise ValueError("offsets_deg must be strictly increasing")
+        if not all(0.0 <= o < 360.0 for o in offsets):
+            raise ValueError(f"offsets_deg must lie in [0, 360), got {offsets}")
+        if any(a >= b for a, b in zip(offsets, offsets[1:])):
+            raise ValueError(f"offsets_deg must be strictly increasing, got {offsets}")
         object.__setattr__(self, "offsets_deg", offsets)
 
     @property
@@ -63,8 +48,9 @@ class ArrayConfig:
     @classmethod
     def uniform(cls, n_elements: int) -> "ArrayConfig":
         """Uniform circular array: element k offset by 360*k/n degrees."""
+        n_elements = _integer("n_elements", n_elements)
         if n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
+            raise ValueError(f"n_elements must be >= 1, got {n_elements}")
         return cls(tuple(360.0 * k / n_elements for k in range(n_elements)))
 
 
@@ -105,7 +91,7 @@ def perturb(gains, half_width: float, rng: np.random.Generator) -> np.ndarray:
     the error can flip the sign of a near-zero reading, so no clamping
     is applied.
     """
-    if not np.isfinite(half_width) or half_width < 0.0:
+    if _number("half_width", half_width) < 0.0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     g = np.asarray(gains, dtype=float)
     return g + rng.uniform(-half_width, half_width, size=g.shape)

@@ -1,10 +1,12 @@
 """Directional antenna gain patterns modeled as sums of Gaussian lobes.
 
 A single element's azimuth gain is represented as g(theta) = sum_i
-a_i * exp(-((theta - b_i) / c_i)^2) with theta in degrees. The module
-provides evaluation with angular wrap-around and a bounded least-squares
-fitter (scipy's trust-region reflective ``least_squares``) that recovers
-the lobe parameters from measured (angle, gain) samples.
+a_i * exp(-((theta - b_i) / c_i)^2) with theta in degrees. A pattern is
+its lobe table: one checked (a_i, b_i, c_i) row per lobe, the same rows
+that a pattern CSV holds. The module provides evaluation with angular
+wrap-around and a bounded least-squares fitter (scipy's trust-region
+reflective ``least_squares``) that recovers the lobe table from measured
+(angle, gain) samples.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _integer, _number
+
 __all__ = [
-    "GaussianComponent",
     "GaussianMixturePattern",
     "PatternFit",
     "DEFAULT_PATTERN",
@@ -51,68 +54,46 @@ def wrap_angle(theta_deg):
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One Gaussian lobe a * exp(-((theta - b) / c)^2) of a gain pattern.
-
-    Attributes:
-        amplitude: lobe weight a, dimensionless, >= 0.
-        center_deg: lobe center b in degrees, in [0, 360).
-        width_deg: lobe width c in degrees, > 0.
-    """
-
-    amplitude: float
-    center_deg: float
-    width_deg: float
-
-    def __post_init__(self):
-        for name in ("amplitude", "center_deg", "width_deg"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (np.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (np.isfinite(self.center_deg) and 0.0 <= self.center_deg < 360.0):
-            raise ValueError(f"center_deg must lie in [0, 360), got {self.center_deg}")
-        if not (np.isfinite(self.width_deg) and self.width_deg > 0.0):
-            raise ValueError(f"width_deg must be finite and > 0, got {self.width_deg}")
-
-
-@dataclass(frozen=True)
 class GaussianMixturePattern:
     """Azimuth gain pattern as an ordered sum of Gaussian lobes.
+
+    ``lobes`` takes any (k, 3) rows of (amplitude >= 0, center_deg in
+    [0, 360), width_deg > 0) and holds them as float triples in a tuple,
+    so a pattern is hashable.
 
     Evaluation wraps the angle into [0, 360) first. The Gaussian sum
     itself is not periodic, so g(0) and g(360 - eps) differ slightly;
     this small seam is an accepted property of the model.
     """
 
-    components: tuple[GaussianComponent, ...]
+    lobes: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("pattern needs at least one component")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_params(cls, params) -> "GaussianMixturePattern":
-        """Build a pattern from a (k, 3) array of (amplitude, center, width) rows."""
-        rows = np.asarray(params, dtype=float).reshape(-1, 3)
-        return cls(tuple(GaussianComponent(*row) for row in rows))
+        if not isinstance(self.lobes, (tuple, list, np.ndarray)) or len(self.lobes) == 0:
+            raise ValueError(f"lobes must be a non-empty list of rows, got {self.lobes!r}")
+        lobes = []
+        for row in self.lobes:
+            if not isinstance(row, (tuple, list, np.ndarray)) or len(row) != 3:
+                raise ValueError(f"a lobe must be (amplitude, center_deg, width_deg), got {row!r}")
+            a, b, c = map(_number, ("amplitude", "center_deg", "width_deg"), row)
+            if a < 0.0:
+                raise ValueError(f"amplitude must be >= 0, got {a}")
+            if not 0.0 <= b < 360.0:
+                raise ValueError(f"center_deg must lie in [0, 360), got {b}")
+            if c <= 0.0:
+                raise ValueError(f"width_deg must be > 0, got {c}")
+            lobes.append((a, b, c))
+        object.__setattr__(self, "lobes", tuple(lobes))
 
     def as_params(self) -> np.ndarray:
         """Return the (k, 3) array of (amplitude, center, width) rows."""
-        return np.array(
-            [(c.amplitude, c.center_deg, c.width_deg) for c in self.components]
-        )
+        return np.array(self.lobes)
 
 
 #: Three-lobe fit of the measured directional spiral element at 1.25 GHz,
 #: used as the built-in pattern for simulations and as the CLI preset.
 DEFAULT_PATTERN = GaussianMixturePattern(
-    (
-        GaussianComponent(0.5255, 218.1, 51.73),
-        GaussianComponent(0.3405, 304.8, 41.0),
-        GaussianComponent(0.6251, 156.1, 109.1),
-    )
+    ((0.5255, 218.1, 51.73), (0.3405, 304.8, 41.0), (0.6251, 156.1, 109.1))
 )
 
 
@@ -158,7 +139,7 @@ def eval_pattern(pattern: GaussianMixturePattern, theta_deg):
     under adding full turns. Output is nonnegative.
     """
     theta = wrap_angle(theta_deg)
-    values = gaussian_sum(theta, pattern.as_params().ravel())
+    values = gaussian_sum(theta, pattern.lobes)
     if np.ndim(theta_deg) == 0:
         return float(values)
     return values
@@ -214,11 +195,12 @@ def fit_pattern(angles_deg, gains, n_components: int) -> PatternFit:
         n_components: number of Gaussian lobes to fit.
 
     Raises:
-        ValueError: fewer than 3 * n_components samples, duplicated
-            angles after wrapping, or non-finite gains.
+        ValueError: n_components not an integer >= 1, fewer than
+            3 * n_components samples, duplicated angles after wrapping,
+            or non-finite gains.
     """
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    if _integer("n_components", n_components) < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
     x = wrap_angle(np.asarray(angles_deg, dtype=float).ravel())
     y = np.asarray(gains, dtype=float).ravel()
     if x.size != y.size:
@@ -248,7 +230,7 @@ def fit_pattern(angles_deg, gains, n_components: int) -> PatternFit:
         max_nfev=_MAX_NFEV,
     )
     return PatternFit(
-        pattern=GaussianMixturePattern.from_params(result.x.reshape(-1, 3)),
+        pattern=GaussianMixturePattern(result.x.reshape(-1, 3)),
         converged=result.status > 0,
         n_iter=int(result.nfev),
         residual=float(result.fun @ result.fun),

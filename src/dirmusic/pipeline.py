@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import DoaEstimate, estimate_doa
-from .manifold import ArrayConfig, _integer, _number
+from ._checks import _integer, _number
+from .manifold import ArrayConfig
 from .pattern import GaussianMixturePattern
 
 __all__ = [
@@ -107,11 +108,9 @@ class FilterSpec:
     def __post_init__(self):
         object.__setattr__(self, "low_hz", _number("low_hz", self.low_hz))
         object.__setattr__(self, "high_hz", _number("high_hz", self.high_hz))
-        if not (0.0 < self.low_hz < self.high_hz):
-            raise ValueError(
-                f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}"
-            )
-        _integer("n_taps", self.n_taps)
+        object.__setattr__(self, "n_taps", _integer("n_taps", self.n_taps))
+        if not 0.0 < self.low_hz < self.high_hz:
+            raise ValueError(f"need 0 < low_hz < high_hz, got {self.low_hz}, {self.high_hz}")
         if self.n_taps < 11 or self.n_taps % 2 == 0:
             raise ValueError(f"n_taps must be odd and >= 11, got {self.n_taps}")
 
@@ -314,8 +313,8 @@ def detect_pulse(rec: Recording, k_sigma: float = DEFAULT_K_SIGMA) -> PulseWindo
             sample, which ``bandpass`` leaves when a record near the
             float64 limit overflows.
     """
-    if not (math.isfinite(k_sigma) and k_sigma > 0.0):
-        raise ValueError(f"k_sigma must be finite and > 0, got {k_sigma}")
+    if _number("k_sigma", k_sigma) <= 0.0:
+        raise ValueError(f"k_sigma must be > 0, got {k_sigma}")
     data = rec.channels
     # The largest magnitude is the largest or the smallest sample; on a
     # tie the earlier one in flat (channel, sample) order wins, as it

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _integer, _number
+
 __all__ = [
     "PulseModel",
     "SamplingSpec",
@@ -37,13 +39,15 @@ class PulseModel:
     carrier_hz: float = 1.25e9
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0 and np.isfinite(self.amplitude)):
+        for name in ("amplitude", "decay_s", "rise_s", "carrier_hz"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if self.amplitude <= 0.0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
         if not (0.0 < self.rise_s < self.decay_s):
             raise ValueError(
                 f"need decay_s > rise_s > 0, got decay={self.decay_s}, rise={self.rise_s}"
             )
-        if not (self.carrier_hz > 0.0):
+        if self.carrier_hz <= 0.0:
             raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
 
 
@@ -55,7 +59,9 @@ class SamplingSpec:
     n_samples: int = 15360
 
     def __post_init__(self):
-        if not (self.rate_hz > 0.0 and np.isfinite(self.rate_hz)):
+        object.__setattr__(self, "rate_hz", _number("rate_hz", self.rate_hz))
+        object.__setattr__(self, "n_samples", _integer("n_samples", self.n_samples))
+        if self.rate_hz <= 0.0:
             raise ValueError(f"rate_hz must be > 0, got {self.rate_hz}")
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")

@@ -373,6 +373,29 @@ class TestSweeps:
         assert payload["config"]["n_trials"] == 2
         assert [row["setting"] for row in payload["rows"]] == settings
 
+    def test_simulate_and_sweeps_record_the_layout_as_estimate_does(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lobes = [[0.5, 200.0, 50.0], [0.7, 150.0, 100.0]]
+        dio.write_pattern_csv("p.csv", GaussianMixturePattern(lobes))
+        _write_recording(tmp_path / "wave.csv")
+        layout = ["--offsets", "0,60,120,180", "--pattern", "p.csv"]
+        runs = ["--trials", "2"] + layout
+        assert main(["simulate", *runs, "--out", "run"]) == EXIT_OK
+        assert main(["sweep-snr", *runs, "--snr-db", "10", "--out", "snr"]) == EXIT_OK
+        assert main(["sweep-error", *runs, "--epsilon", "0.05", "--out", "eps"]) == EXIT_OK
+        assert main(["sweep-elements", *runs, "--elements-list", "2", "--out", "el"]) == EXIT_OK
+        assert main(["estimate", "wave.csv", *layout, "--out", "est.json"]) == EXIT_OK
+        expected = {"n_elements": 4, "offsets_deg": [0.0, 60.0, 120.0, 180.0], "pattern": lobes}
+        for recorded in (
+            json.loads(Path("run_summary.json").read_text()),
+            json.loads(Path("snr.json").read_text())["config"],
+            json.loads(Path("eps.json").read_text())["config"],
+            json.loads(Path("est.json").read_text()),
+        ):
+            assert {key: recorded.get(key) for key in expected} == expected
+        # an element sweep re-derives the layout per row, so it records none
+        assert not set(expected) & set(json.loads(Path("el.json").read_text())["config"])
+
     def test_element_sweep_runs(self, tmp_path):
         code = main(
             ["sweep-elements", "--elements-list", "2", "4", "--trials", "6",
@@ -481,7 +504,7 @@ class TestEstimate:
         params = DEFAULT_PATTERN.as_params()
         params[:, 2] *= 1.1
         pattern = tmp_path / "pattern.csv"
-        dio.write_pattern_csv(pattern, GaussianMixturePattern.from_params(params))
+        dio.write_pattern_csv(pattern, GaussianMixturePattern(params))
         out = tmp_path / "first.json"
         code = main([
             "estimate", str(wave), "--offsets", "0,60,120,180", "--pattern", str(pattern),
@@ -493,7 +516,7 @@ class TestEstimate:
         assert first["pattern"] == params.tolist()
         # re-run from nothing but the recorded values
         replay = tmp_path / "replay.csv"
-        dio.write_pattern_csv(replay, GaussianMixturePattern.from_params(first["pattern"]))
+        dio.write_pattern_csv(replay, GaussianMixturePattern(first["pattern"]))
         code = main([
             "estimate", str(wave), "--pattern", str(replay),
             "--offsets", ",".join(repr(o) for o in first["offsets_deg"]),

@@ -40,8 +40,13 @@ class TestPatternFiles:
             ("1,2,3,4\n1,2,3,4\n1,2,3,4\n", "row 2 has 4 fields, expected 3"),
             ("0.5,218.1\n", "row 2 has 2 fields, expected 3"),
             ("1,2,3\n\n0.5,abc,51\n", "row 4 has a non-numeric cell 'abc'"),
+            ("1_0,20,30\n", "row 2 has a non-numeric cell '1_0'"),
+            ("1,20,30\nnan,10,20\n", "row 3 has a non-finite cell 'nan'"),
+            ("1,-inf,30\n", "row 2 has a non-finite cell '-inf'"),
+            ("\n", "no rows after the header"),
         ],
-        ids=["four_fields", "two_fields", "non_numeric"],
+        ids=["four_fields", "two_fields", "non_numeric", "digit_separator", "nan", "inf",
+             "no_rows"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "pattern.csv"
@@ -66,8 +71,11 @@ class TestSampleFiles:
             ("0,1\n5\n", "row 3 has 1 fields, expected 2"),
             ("0,1,7\n10,1,7\n", "row 2 has 3 fields, expected 2"),
             ("0,1\n10,high\n", "row 3 has a non-numeric cell 'high'"),
+            ("0,1\n1_0,1\n", "row 3 has a non-numeric cell '1_0'"),
+            ("0,Infinity\n", "row 2 has a non-finite cell 'Infinity'"),
+            ("", "no rows after the header"),
         ],
-        ids=["one_field", "three_fields", "non_numeric"],
+        ids=["one_field", "three_fields", "non_numeric", "digit_separator", "inf", "no_rows"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "samples.csv"
@@ -126,6 +134,12 @@ class TestWaveformFiles:
         path = tmp_path / "wave.csv"
         path.write_text("time_s,ch1,ch2\n0.0,1.0,2.0\n1e-10,volts,2.0\n")
         with pytest.raises(ValueError, match="row 3 has a non-numeric cell 'volts'"):
+            dio.read_waveform_csv(path)
+
+    def test_digit_separator_rejected_as_np_loadtxt_rejects_it(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_text("time_s,ch1\n0.0,1.0\n1e-10,1_0\n")
+        with pytest.raises(ValueError, match="row 3 has a non-numeric cell '1_0'"):
             dio.read_waveform_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import dirmusic.pattern as pattern_module
 from dirmusic.pattern import (
     DEFAULT_PATTERN,
-    GaussianComponent,
     GaussianMixturePattern,
     eval_pattern,
     fit_pattern,
@@ -59,7 +58,7 @@ class TestWrapAngle:
 
 class TestEvalPattern:
     def test_single_component_peak(self):
-        pattern = GaussianMixturePattern((GaussianComponent(1.0, 0.0, 1.0),))
+        pattern = GaussianMixturePattern(((1.0, 0.0, 1.0),))
         assert eval_pattern(pattern, 0.0) == pytest.approx(1.0)
 
     def test_matches_reference_evaluation(self):
@@ -113,15 +112,35 @@ class TestGaussianSum:
 class TestValidation:
     def test_component_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            GaussianComponent(-0.1, 10.0, 5.0)
+            GaussianMixturePattern(((-0.1, 10.0, 5.0),))
         with pytest.raises(ValueError):
-            GaussianComponent(1.0, 360.0, 5.0)
+            GaussianMixturePattern(((1.0, 360.0, 5.0),))
         with pytest.raises(ValueError):
-            GaussianComponent(1.0, 10.0, 0.0)
+            GaussianMixturePattern(((1.0, 10.0, 0.0),))
 
     def test_pattern_needs_components(self):
         with pytest.raises(ValueError):
             GaussianMixturePattern(())
+
+    @pytest.mark.parametrize(
+        "lobes",
+        [[(1.0, 10.0)], [(1.0, 10.0, 5.0, 2.0)], [1.0, 10.0, 5.0], ["1,10,5"], 5.0],
+        ids=["short_row", "long_row", "flat_row", "string_row", "scalar"],
+    )
+    def test_lobes_must_be_rows_of_three(self, lobes):
+        with pytest.raises(ValueError, match="lobe"):
+            GaussianMixturePattern(lobes)
+
+    def test_any_rows_give_the_same_hashable_lobe_table(self):
+        rows = [[1, 10, 5], [np.float32(0.5), np.int64(200), 30.0]]
+        table = ((1.0, 10.0, 5.0), (0.5, 200.0, 30.0))
+        for lobes in (rows, np.array(rows, dtype=float), table):
+            pattern = GaussianMixturePattern(lobes)
+            assert pattern.lobes == table
+            assert all(type(v) is float for lobe in pattern.lobes for v in lobe)
+            assert pattern == GaussianMixturePattern(table)
+            assert hash(pattern) == hash(GaussianMixturePattern(table))
+        assert_array_equal(GaussianMixturePattern(table).as_params(), np.array(table))
 
 
 class TestJacobian:
