@@ -20,6 +20,10 @@ def _number(name: str, value) -> float:
     """``value`` as a float, if it is a finite number and not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value}")
-    return float(value)
+    return number

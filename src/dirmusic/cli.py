@@ -4,6 +4,10 @@ Subcommands: fit-pattern, manifold, simulate, sweep-snr, sweep-error,
 sweep-elements, estimate. Every run is deterministic given its inputs,
 configuration, and seed.
 
+Each setting has one name, its config-file key, which is also the dest of
+its flag. Every JSON output records its run in a ``config`` block of those
+keys, so ``--config`` given an output runs it again.
+
 Exit codes: 0 success, 2 usage, 3 I/O error, 4 parse/validation error,
 5 no pulse found in a recording.
 """
@@ -18,6 +22,7 @@ import sys
 import numpy as np
 
 from . import io as dio
+from ._checks import _integer
 from .estimator import default_grid
 from .experiments import (
     TrialConfig,
@@ -28,7 +33,7 @@ from .experiments import (
     summarize,
 )
 from .manifold import ArrayConfig, manifold_matrix
-from .pattern import DEFAULT_PATTERN, fit_pattern
+from .pattern import GaussianMixturePattern, fit_pattern
 from .pipeline import DEFAULT_K_SIGMA, FilterSpec, NoPulseFoundError, process_recording
 
 EXIT_OK = 0
@@ -48,29 +53,36 @@ _LAYOUT = {"elements": "n_elements", "offsets": "offsets_deg", "grid_step": "gri
 _TRIAL = {**_LAYOUT, "snr_db_fixed": "snr_db", "epsilon_fixed": "manifold_error",
           "trials": "n_trials", "seed": "seed", "threshold": "success_threshold_deg"}
 _FILTER = {"band_low_hz": "low_hz", "band_high_hz": "high_hz", "taps": "n_taps"}
-#: Keys a config file may carry, the last three being sweep lists; any
-#: other key is rejected.
-CONFIG_KEYS = frozenset({
-    "schema_version", *_TRIAL, *_FILTER, "snr_db", "epsilon", "elements_list",
-})
+#: Sweep list key -> (runner, the scalar keys whose value the list replaces,
+#: TrialConfig defaults of the subcommand). The published element sweep
+#: fixes the manifold error at 0.05; a flag or the epsilon_fixed key overrides it.
+_SWEEPS = {
+    "snr_db": (run_snr_sweep, ("snr_db_fixed",), {}),
+    "epsilon": (run_manifold_error_sweep, ("epsilon_fixed",), {}),
+    "elements_list": (run_element_sweep, ("elements", "offsets"), {"manifold_error": 0.05}),
+}
+#: Keys a config file may carry; any other key is rejected. ``pattern``
+#: holds lobe rows, and ``k_sigma`` is read by estimate only.
+CONFIG_KEYS = frozenset({"schema_version", *_TRIAL, *_FILTER, *_SWEEPS, "pattern", "k_sigma"})
 
 
 def _load_config(path) -> dict:
+    """The keys of a config file, or of the ``config`` block of a JSON output."""
     with open(path) as handle:
         try:
-            cfg = json.load(handle)
+            data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    cfg = data.get("config", data) if isinstance(data, dict) else data
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    version = cfg.get("schema_version", dio.SCHEMA_VERSION)
-    if version != dio.SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema_version {version!r} (expected {dio.SCHEMA_VERSION})"
-        )
+    # Version 1 files hold a subset of today's keys, so they load as they are.
+    version = _integer("schema_version", data.get("schema_version", dio.SCHEMA_VERSION))
+    if not 1 <= version <= dio.SCHEMA_VERSION:
+        raise ValueError(f"{path}: schema_version must be 1 to {dio.SCHEMA_VERSION}, got {version}")
     return cfg
 
 
@@ -96,35 +108,30 @@ def _parse_offsets(text: str) -> list[float]:
 
 def _trial_config(args, config: dict, table=_TRIAL, **defaults) -> TrialConfig:
     """The run configuration from ``table``'s keys and the pattern; ``defaults``
-    replace TrialConfig's for one subcommand. Offsets without a count set it."""
+    replace TrialConfig's for one subcommand. Offsets without a count set it.
+    The ``--pattern`` flag names a CSV file (or ``builtin``); the ``pattern``
+    key holds the lobe rows."""
     values = {**defaults, **_fields(args, config, table)}
     if args.offsets is not None:
         values["offsets_deg"] = _parse_offsets(args.offsets)
     if "offsets_deg" in values and "n_elements" not in values:
         values["n_elements"] = ArrayConfig(values["offsets_deg"]).n_elements
-    pattern = DEFAULT_PATTERN if args.pattern == "builtin" else dio.read_pattern_csv(args.pattern)
-    return TrialConfig(pattern=pattern, **values)
+    if args.pattern not in (None, "builtin"):
+        values["pattern"] = dio.read_pattern_csv(args.pattern)
+    elif args.pattern is None and config.get("pattern") is not None:
+        values["pattern"] = GaussianMixturePattern(config["pattern"])
+    return TrialConfig(**values)
 
 
-def _layout_payload(cfg: TrialConfig) -> dict:
-    """The array and the pattern of a run, as every output JSON records them."""
+def _config_block(table: dict, cfg: TrialConfig, spec: FilterSpec | None = None, **extra) -> dict:
+    """The ``config`` block of a JSON output: each key of ``table`` with the
+    value its field resolved to in ``cfg`` or ``spec``, the explicit offsets
+    of the layout, the pattern's lobe rows, and ``extra``."""
+    fields = {**vars(cfg), **(vars(spec) if spec else {}), "offsets_deg": cfg.array().offsets_deg}
     return {
-        "n_elements": cfg.n_elements,
-        "offsets_deg": list(cfg.array().offsets_deg),
-        "pattern": cfg.pattern.as_params().tolist(),
-    }
-
-
-def _config_payload(cfg: TrialConfig) -> dict:
-    """The run configuration as written into summary and sweep JSON."""
-    return {
-        **_layout_payload(cfg),
-        "snr_db": cfg.snr_db,
-        "manifold_error": cfg.manifold_error,
-        "n_trials": cfg.n_trials,
-        "grid_step_deg": cfg.grid_step_deg,
-        "seed": cfg.seed,
-        "threshold_deg": cfg.success_threshold_deg,
+        **{key: fields[field] for key, field in table.items()},
+        "pattern": cfg.pattern.lobes,
+        **extra,
     }
 
 
@@ -173,7 +180,7 @@ def cmd_simulate(args) -> int:
         f"{args.out}_summary.json",
         {
             "schema_version": dio.SCHEMA_VERSION,
-            **_config_payload(cfg),
+            "config": _config_block(_TRIAL, cfg),
             "accuracy": stats.accuracy,
             "mean_err": stats.mean,
             "variance_err": stats.variance,
@@ -189,21 +196,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, key: str, runner, flag: str, **defaults) -> int:
+def cmd_sweep(args) -> int:
+    """The sweep whose list key is ``args.sweep``."""
+    key = args.sweep
+    runner, replaced, defaults = _SWEEPS[key]
     config = _load_config(args.config) if args.config else {}
     values = _given(args, config, key)
     if values is not None and not isinstance(values, list):
         raise ValueError(f"{key} must be a list of values, got {values!r}")
     if not values:
-        raise UsageError(f"no sweep values given (use --{flag} or the config file)")
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"no sweep values given (use {flag} or the config file)")
     cfg = _trial_config(args, config, **defaults)
     report = runner(cfg, values)
     dio.write_sweep_csv(f"{args.out}.csv", report)
-    # The swept field is set per row, so the base value would mislead; an
-    # element sweep re-derives the layout per row, so it records none of it.
-    swept = _layout_payload(cfg) if report.setting_name == "n_elements" else (report.setting_name,)
-    meta = {k: v for k, v in _config_payload(cfg).items() if k not in swept}
-    dio.write_sweep_json(f"{args.out}.json", report, meta)
+    table = {k: field for k, field in _TRIAL.items() if k not in replaced}
+    dio.write_sweep_json(f"{args.out}.json", report, _config_block(table, cfg, **{key: values}))
     for row in report.rows:
         print(
             f"{report.setting_name}={row.setting:g}: accuracy={row.accuracy:.4f} "
@@ -212,42 +220,25 @@ def _run_sweep(args, key: str, runner, flag: str, **defaults) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_snr(args) -> int:
-    return _run_sweep(args, "snr_db", run_snr_sweep, "snr-db")
-
-
-def cmd_sweep_error(args) -> int:
-    return _run_sweep(args, "epsilon", run_manifold_error_sweep, "epsilon")
-
-
-def cmd_sweep_elements(args) -> int:
-    # The published protocol for this sweep fixes the manifold error at
-    # 0.05; --epsilon and the epsilon_fixed config key override it.
-    return _run_sweep(
-        args, "elements_list", run_element_sweep, "elements-list", manifold_error=0.05
-    )
-
-
 def cmd_estimate(args) -> int:
     config = _load_config(args.config) if args.config else {}
     spec = FilterSpec(**_fields(args, config, _FILTER))
     cfg = _trial_config(args, config, _LAYOUT)
+    k_sigma = _given(args, config, "k_sigma")
+    k_sigma = DEFAULT_K_SIGMA if k_sigma is None else k_sigma
     rec = dio.read_waveform_csv(args.recording)
     result = process_recording(
-        rec, spec, cfg.pattern, cfg.array(), default_grid(cfg.grid_step_deg), k_sigma=args.k_sigma
+        rec, spec, cfg.pattern, cfg.array(), default_grid(cfg.grid_step_deg), k_sigma=k_sigma
     )
     payload = {
         "schema_version": dio.SCHEMA_VERSION,
+        # detect_pulse has checked k_sigma as a number
+        "config": _config_block({**_LAYOUT, **_FILTER}, cfg, spec, k_sigma=float(k_sigma)),
         "theta_hat_deg": result.estimate.angle_deg,
         "peak_value": result.estimate.peak_value,
         "window_start_s": result.window.start / rec.rate_hz,
         "window_end_s": result.window.stop / rec.rate_hz,
         "detection_channel": result.window.channel + 1,
-        "filter_band_hz": [spec.low_hz, spec.high_hz],
-        "n_taps": spec.n_taps,
-        "grid_step_deg": cfg.grid_step_deg,
-        **_layout_payload(cfg),
-        "k_sigma": args.k_sigma,
         "snapshots_used": result.window.stop - result.window.start,
     }
     if args.out:
@@ -262,7 +253,8 @@ def _add_layout_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--elements", type=int, default=None, help="element count (uniform layout)")
     parser.add_argument("--offsets", default=None, help="explicit offsets, comma separated degrees")
     parser.add_argument(
-        "--pattern", default="builtin", help="'builtin' or path to a pattern CSV"
+        "--pattern", default=None,
+        help="'builtin' or path to a pattern CSV (default: the pattern key, else builtin)",
     )
 
 
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trial_flags(p)
     p.add_argument("--snr-db", dest="snr_db", type=float, nargs="*", default=None)
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_sweep_snr)
+    p.set_defaults(func=cmd_sweep, sweep="snr_db")
 
     p = sub.add_parser("sweep-error", help="accuracy versus manifold error")
     _add_trial_flags(p)
@@ -317,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--snr-db", dest="snr_db_fixed", type=float, default=None, help="fixed SNR for the sweep"
     )
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_sweep_error)
+    p.set_defaults(func=cmd_sweep, sweep="epsilon")
 
     p = sub.add_parser("sweep-elements", help="accuracy versus element count")
     _add_trial_flags(p)
@@ -329,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--snr-db", dest="snr_db_fixed", type=float, default=None, help="fixed SNR for the sweep"
     )
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_sweep_elements)
+    p.set_defaults(func=cmd_sweep, sweep="elements_list")
 
     p = sub.add_parser("estimate", help="process a recorded waveform CSV")
     _add_layout_flags(p)
@@ -338,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-high-hz", type=float, default=None)
     p.add_argument("--taps", type=int, default=None)
     p.add_argument(
-        "--k-sigma", type=float, default=DEFAULT_K_SIGMA, help="detection threshold multiplier"
+        "--k-sigma", type=float, default=None,
+        help=f"detection threshold multiplier (default {DEFAULT_K_SIGMA})",
     )
     p.add_argument("--out", default=None, help="result JSON path")
     p.set_defaults(func=cmd_estimate)

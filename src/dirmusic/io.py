@@ -38,7 +38,7 @@ __all__ = [
     "write_table",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PATTERN_HEADER = ["amplitude", "center_deg", "width_deg"]
 _SAMPLES_HEADER = ["angle_deg", "gain"]
@@ -200,8 +200,9 @@ def read_waveform_csv(path) -> Recording:
 
     The header is read with ``csv``; the body, one row of ``time_s`` and
     the channel values per line, is parsed by ``np.loadtxt``. Blank
-    lines are skipped. A body ``np.loadtxt`` rejects goes through the row
-    parser of the other CSV files, which names the first bad row.
+    lines are skipped. A body ``np.loadtxt`` rejects, or reads with a
+    non-finite cell, goes through the row parser of the other CSV files,
+    which names the first bad row.
     """
     with open(path, newline="") as handle:
         header = next(csv.reader(handle), None)
@@ -216,7 +217,7 @@ def read_waveform_csv(path) -> Recording:
                 )
         except ValueError:
             data = None
-    if data is None or (data.size and data.shape[1] != n_fields):
+    if data is None or (data.size and data.shape[1] != n_fields) or not np.isfinite(data).all():
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             next(reader)
@@ -248,14 +249,14 @@ def write_sweep_csv(path, report: SweepReport) -> None:
     write_table(path, _SWEEP_HEADER, (record.values() for record in _sweep_records(report)))
 
 
-def write_sweep_json(path, report: SweepReport, config_meta: dict) -> None:
+def write_sweep_json(path, report: SweepReport, config: dict) -> None:
     write_json(
         path,
         {
             "schema_version": SCHEMA_VERSION,
             "setting_name": report.setting_name,
             "rows": _sweep_records(report),
-            "config": config_meta,
+            "config": config,
         },
     )
 

@@ -16,14 +16,13 @@ from dirmusic.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
-    _config_payload,
     main,
 )
 from dirmusic.estimator import default_grid
 from dirmusic.experiments import TrialConfig
 from dirmusic.manifold import ArrayConfig, manifold_matrix, steering_vector
 from dirmusic.pattern import DEFAULT_PATTERN, GaussianMixturePattern, eval_pattern
-from dirmusic.pipeline import FilterSpec, Recording
+from dirmusic.pipeline import DEFAULT_K_SIGMA, FilterSpec, Recording
 from dirmusic.signal import PulseModel, SamplingSpec, pd_pulse, synthesize_clean
 
 
@@ -139,25 +138,35 @@ def test_trial_flags_rejected_where_no_trial_runs(command, flag):
 def test_unset_values_take_the_dataclass_defaults(tmp_path):
     assert main(["simulate", "--trials", "2", "--out", str(tmp_path / "run")]) == EXIT_OK
     summary = json.loads((tmp_path / "run_summary.json").read_text())
-    expected = _config_payload(TrialConfig(n_trials=2))
-    assert {key: summary[key] for key in expected} == expected
+    cfg = TrialConfig(n_trials=2)
+    layout = {
+        "elements": cfg.n_elements,
+        "offsets": list(cfg.array().offsets_deg),
+        "grid_step": cfg.grid_step_deg,
+        "pattern": [list(lobe) for lobe in DEFAULT_PATTERN.lobes],
+    }
+    assert summary["config"] == {
+        **layout, "snr_db_fixed": cfg.snr_db, "epsilon_fixed": cfg.manifold_error,
+        "trials": 2, "seed": cfg.seed, "threshold": cfg.success_threshold_deg,
+    }
 
     _write_recording(tmp_path / "wave.csv")
     out = tmp_path / "result.json"
     code = main(["estimate", str(tmp_path / "wave.csv"), "--offsets", "0,60,120,180",
                  "--out", str(out)])
     assert code == EXIT_OK
-    payload = json.loads(out.read_text())
     spec = FilterSpec()
-    assert payload["filter_band_hz"] == [spec.low_hz, spec.high_hz]
-    assert payload["n_taps"] == spec.n_taps
-    assert payload["grid_step_deg"] == TrialConfig().grid_step_deg
+    assert json.loads(out.read_text())["config"] == {
+        **layout, "elements": 4, "offsets": [0.0, 60.0, 120.0, 180.0],
+        "band_low_hz": spec.low_hz, "band_high_hz": spec.high_hz, "taps": spec.n_taps,
+        "k_sigma": DEFAULT_K_SIGMA,
+    }
 
     # the published element-sweep protocol fixes the manifold error at 0.05
     code = main(["sweep-elements", "--elements-list", "2", "--trials", "2",
                  "--out", str(tmp_path / "el")])
     assert code == EXIT_OK
-    assert json.loads((tmp_path / "el.json").read_text())["config"]["manifold_error"] == 0.05
+    assert json.loads((tmp_path / "el.json").read_text())["config"]["epsilon_fixed"] == 0.05
 
 
 def test_cli_import_loads_no_scipy():
@@ -183,7 +192,7 @@ class TestSimulate:
         assert (tmp_path / "run_trials.csv").read_bytes() == trials_a
         assert (tmp_path / "run_summary.json").read_bytes() == summary_a
         payload = json.loads(summary_a)
-        assert payload["n_trials"] == 12
+        assert payload["config"]["trials"] == 12
         assert 0.0 <= payload["accuracy"] <= 1.0
 
 
@@ -209,7 +218,7 @@ class TestSweeps:
         code = main(["sweep-snr", "--config", str(config), "--out", str(tmp_path / "cfg")])
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "cfg.json").read_text())
-        assert payload["config"]["n_elements"] == 4
+        assert payload["config"]["elements"] == 4
         assert payload["config"]["seed"] == 3
 
     def test_bad_schema_version_is_parse_error(self, tmp_path):
@@ -251,9 +260,12 @@ class TestSweeps:
             (["simulate"], {"trials": True}, "n_trials"),
             (["sweep-elements"], {"elements_list": [2.9]}, "n_elements"),
             (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"taps": 101.5}, "n_taps"),
+            (["simulate"], {"schema_version": True}, "schema_version"),
+            (["simulate"], {"schema_version": 1.0}, "schema_version"),
         ],
         ids=["float_seed_and_trials", "float_seed", "bool_seed", "bool_trials",
-             "float_element_count", "float_taps"],
+             "float_element_count", "float_taps", "bool_schema_version",
+             "float_schema_version"],
     )
     def test_non_integer_config_value_is_parse_error(
         self, tmp_path, capsys, monkeypatch, command, values, field
@@ -307,9 +319,15 @@ class TestSweeps:
              "low_hz must be a number"),
             (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"band_high_hz": "2e9"},
              "high_hz must be a number"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"], {"k_sigma": "5"},
+             "k_sigma must be a number"),
+            (["manifold"], {"pattern": "p.csv"}, "lobes must be a non-empty list of rows"),
+            (["estimate", "wave.csv", "--offsets", "0,60,120,180"],
+             {"pattern": [[0.5, 360.0, 50.0]]}, "center_deg must lie in [0, 360)"),
         ],
         ids=["scalar_offsets", "dict_offsets", "list_in_offsets", "bool_in_offsets",
-             "list_band_low", "bool_band_low", "string_band_low", "string_band_high"],
+             "list_band_low", "bool_band_low", "string_band_low", "string_band_high",
+             "string_k_sigma", "string_pattern", "out_of_range_pattern_row"],
     )
     def test_bad_layout_or_filter_config_value_is_parse_error(
         self, tmp_path, capsys, monkeypatch, command, values, message
@@ -352,25 +370,28 @@ class TestSweeps:
         base = ["sweep-elements", "--config", str(config), "--elements-list", "2", "--trials", "2"]
         assert main(base + ["--out", str(tmp_path / "cfg")]) == EXIT_OK
         meta = json.loads((tmp_path / "cfg.json").read_text())["config"]
-        assert meta["manifold_error"] == 0.1
-        assert meta["n_trials"] == 2
+        assert meta["epsilon_fixed"] == 0.1
+        assert meta["trials"] == 2
         assert main(base + ["--epsilon", "0.07", "--out", str(tmp_path / "flag")]) == EXIT_OK
         meta = json.loads((tmp_path / "flag.json").read_text())["config"]
-        assert meta["manifold_error"] == 0.07
+        assert meta["epsilon_fixed"] == 0.07
 
     @pytest.mark.parametrize(
-        "argv, swept, settings",
+        "argv, key, replaced, settings",
         [
-            (["sweep-elements", "--elements-list", "2", "4"], "n_elements", [2, 4]),
-            (["sweep-snr", "--snr-db", "10", "0"], "snr_db", [10.0, 0.0]),
-            (["sweep-error", "--epsilon", "0.05"], "manifold_error", [0.05]),
+            (["sweep-elements", "--elements-list", "2", "4"], "elements_list",
+             {"elements", "offsets"}, [2, 4]),
+            (["sweep-snr", "--snr-db", "10", "0"], "snr_db", {"snr_db_fixed"}, [10.0, 0.0]),
+            (["sweep-error", "--epsilon", "0.05"], "epsilon", {"epsilon_fixed"}, [0.05]),
         ],
+        ids=["sweep-elements", "sweep-snr", "sweep-error"],
     )
-    def test_sweep_config_omits_swept_field(self, tmp_path, argv, swept, settings):
+    def test_sweep_config_omits_swept_field(self, tmp_path, argv, key, replaced, settings):
         assert main(argv + ["--trials", "2", "--out", str(tmp_path / "s")]) == EXIT_OK
         payload = json.loads((tmp_path / "s.json").read_text())
-        assert swept not in payload["config"]
-        assert payload["config"]["n_trials"] == 2
+        assert payload["config"][key] == settings
+        assert not replaced & set(payload["config"])
+        assert payload["config"]["trials"] == 2
         assert [row["setting"] for row in payload["rows"]] == settings
 
     def test_simulate_and_sweeps_record_the_layout_as_estimate_does(self, tmp_path, monkeypatch):
@@ -385,16 +406,14 @@ class TestSweeps:
         assert main(["sweep-error", *runs, "--epsilon", "0.05", "--out", "eps"]) == EXIT_OK
         assert main(["sweep-elements", *runs, "--elements-list", "2", "--out", "el"]) == EXIT_OK
         assert main(["estimate", "wave.csv", *layout, "--out", "est.json"]) == EXIT_OK
-        expected = {"n_elements": 4, "offsets_deg": [0.0, 60.0, 120.0, 180.0], "pattern": lobes}
-        for recorded in (
-            json.loads(Path("run_summary.json").read_text()),
-            json.loads(Path("snr.json").read_text())["config"],
-            json.loads(Path("eps.json").read_text())["config"],
-            json.loads(Path("est.json").read_text()),
-        ):
+        expected = {"elements": 4, "offsets": [0.0, 60.0, 120.0, 180.0], "pattern": lobes}
+        for output in ("run_summary.json", "snr.json", "eps.json", "est.json"):
+            recorded = json.loads(Path(output).read_text())["config"]
             assert {key: recorded.get(key) for key in expected} == expected
-        # an element sweep re-derives the layout per row, so it records none
-        assert not set(expected) & set(json.loads(Path("el.json").read_text())["config"])
+        # an element sweep re-derives the layout per row, so it records only the pattern
+        recorded = json.loads(Path("el.json").read_text())["config"]
+        assert recorded["pattern"] == lobes
+        assert not {"elements", "offsets"} & set(recorded)
 
     def test_element_sweep_runs(self, tmp_path):
         code = main(
@@ -408,6 +427,47 @@ class TestSweeps:
             ["sweep-error", "--epsilon", "0.05", "--trials", "6", "--out", str(tmp_path / "eps")]
         )
         assert code == EXIT_OK
+
+
+# Each run, given its own JSON output as its only configuration, must write
+# the same files: the output's config block records every setting it read.
+_TRIAL_FLAGS = ["--trials", "4", "--seed", "11", "--threshold-deg", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["simulate", "--offsets", "0,60,120,180", "--snr-db", "0", "--epsilon", "0.05",
+          "--grid-step", "2", *_TRIAL_FLAGS], ["_trials.csv", "_summary.json"]),
+        (["sweep-snr", "--snr-db", "10", "-5", "--elements", "4", *_TRIAL_FLAGS],
+         [".csv", ".json"]),
+        (["sweep-error", "--epsilon", "0", "0.1", "--snr-db", "-5", "--offsets", "0,60,120,180",
+          *_TRIAL_FLAGS], [".csv", ".json"]),
+        (["sweep-elements", "--elements-list", "2", "4", "--epsilon", "0.1", *_TRIAL_FLAGS],
+         [".csv", ".json"]),
+        (["estimate", "wave.csv", "--offsets", "0,60,120,180", "--taps", "501",
+          "--k-sigma", "4.5"], [""]),
+    ],
+    ids=["simulate", "sweep-snr", "sweep-error", "sweep-elements", "estimate"],
+)
+def test_own_json_output_as_config_writes_the_same_files(
+    tmp_path, capsys, monkeypatch, argv, outputs
+):
+    monkeypatch.chdir(tmp_path)
+    _write_recording(tmp_path / "wave.csv")
+    params = DEFAULT_PATTERN.as_params()
+    params[:, 2] *= 1.1
+    dio.write_pattern_csv("pattern.csv", GaussianMixturePattern(params))
+    assert main([*argv, "--pattern", "pattern.csv", "--out", "first"]) == EXIT_OK
+    first_out = capsys.readouterr().out
+    Path("pattern.csv").unlink()  # the rerun reads nothing but the recorded values
+    config = "first" + outputs[-1]
+    positional = argv[:2] if argv[0] == "estimate" else argv[:1]
+    assert main([*positional, "--config", config, "--out", "second"]) == EXIT_OK
+    assert capsys.readouterr().out == first_out
+    for suffix in outputs:
+        assert Path("second" + suffix).read_bytes() == Path("first" + suffix).read_bytes()
+    assert json.loads(Path(config).read_text())["config"]["pattern"] == params.tolist()
 
 
 class TestEstimate:
@@ -428,7 +488,8 @@ class TestEstimate:
             assert code == EXIT_OK
             written.append((capsys.readouterr().out, Path(tag).read_bytes()))
         assert written[0] == written[1]
-        assert json.loads(written[0][1])["filter_band_hz"] == [1.0e9, 2.0e9]
+        recorded = json.loads(written[0][1])["config"]
+        assert [recorded["band_low_hz"], recorded["band_high_hz"]] == [1.0e9, 2.0e9]
 
     def test_recovers_direction_from_fixture(self, tmp_path):
         wave = tmp_path / "wave.csv"
@@ -442,7 +503,7 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         err = abs(payload["theta_hat_deg"] - 93.0)
         assert min(err, 360.0 - err) <= 2.0
-        assert payload["n_elements"] == 4
+        assert payload["config"]["elements"] == 4
         span = (payload["window_end_s"] - payload["window_start_s"]) * 10e9
         assert payload["snapshots_used"] == pytest.approx(span)
 
@@ -494,48 +555,18 @@ class TestEstimate:
         out = tmp_path / "result.json"
         code = main(["estimate", str(wave), *layout, "--taps", "501", "--out", str(out)])
         assert code == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["n_taps"] == 501
-        assert payload["offsets_deg"] == offsets
-
-    def test_records_pattern_and_k_sigma_enough_to_rerun(self, tmp_path):
-        wave = tmp_path / "wave.csv"
-        _write_recording(wave)
-        params = DEFAULT_PATTERN.as_params()
-        params[:, 2] *= 1.1
-        pattern = tmp_path / "pattern.csv"
-        dio.write_pattern_csv(pattern, GaussianMixturePattern(params))
-        out = tmp_path / "first.json"
-        code = main([
-            "estimate", str(wave), "--offsets", "0,60,120,180", "--pattern", str(pattern),
-            "--k-sigma", "4.5", "--taps", "501", "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        first = json.loads(out.read_text())
-        assert first["k_sigma"] == 4.5
-        assert first["pattern"] == params.tolist()
-        # re-run from nothing but the recorded values
-        replay = tmp_path / "replay.csv"
-        dio.write_pattern_csv(replay, GaussianMixturePattern(first["pattern"]))
-        code = main([
-            "estimate", str(wave), "--pattern", str(replay),
-            "--offsets", ",".join(repr(o) for o in first["offsets_deg"]),
-            "--band-low-hz", repr(first["filter_band_hz"][0]),
-            "--band-high-hz", repr(first["filter_band_hz"][1]),
-            "--taps", str(first["n_taps"]), "--grid-step", repr(first["grid_step_deg"]),
-            "--k-sigma", repr(first["k_sigma"]), "--out", str(tmp_path / "second.json"),
-        ])
-        assert code == EXIT_OK
-        assert json.loads((tmp_path / "second.json").read_text()) == first
+        recorded = json.loads(out.read_text())["config"]
+        assert recorded["taps"] == 501
+        assert recorded["offsets"] == offsets
 
     def test_default_pattern_is_recorded(self, tmp_path):
         wave = tmp_path / "wave.csv"
         _write_recording(wave)
         out = tmp_path / "result.json"
         assert main(["estimate", str(wave), "--elements", "4", "--out", str(out)]) == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["pattern"] == DEFAULT_PATTERN.as_params().tolist()
-        assert payload["k_sigma"] == 5.0
+        recorded = json.loads(out.read_text())["config"]
+        assert recorded["pattern"] == DEFAULT_PATTERN.as_params().tolist()
+        assert recorded["k_sigma"] == 5.0
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

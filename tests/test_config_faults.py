@@ -1,9 +1,10 @@
 """One fault table for every configuration value.
 
 Each class field and function argument below takes a bool, a numeric
-string, a float where an integer belongs, NaN, infinity and an
-out-of-range value; each must raise ValueError naming the field when the
-object is built or the function is called.
+string, a float where an integer belongs, NaN, infinity, an integer
+beyond the float range where a number belongs and an out-of-range
+value; each must raise ValueError naming the field when the object is
+built or the function is called.
 """
 
 import math
@@ -75,7 +76,8 @@ def _cases():
             faults += [("float", 2.5, kind), ("nan", math.nan, kind), ("inf", math.inf, kind)]
         else:
             finite = f"{field} must be finite"
-            faults += [("nan", math.nan, finite), ("inf", math.inf, finite)]
+            faults += [("nan", math.nan, finite), ("inf", math.inf, finite),
+                       ("huge_int", 10**400, finite)]
         if out_of_range is not None:
             faults.append(("out_of_range", out_of_range, field))
         for label, value, message in faults:

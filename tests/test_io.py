@@ -136,6 +136,13 @@ class TestWaveformFiles:
         with pytest.raises(ValueError, match="row 3 has a non-numeric cell 'volts'"):
             dio.read_waveform_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "wave.csv"
+        path.write_text(f"time_s,ch1,ch2\n0.0,1.0,2.0\n1e-10,1.0,{cell}\n2e-10,1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite cell '{cell}'"):
+            dio.read_waveform_csv(path)
+
     def test_digit_separator_rejected_as_np_loadtxt_rejects_it(self, tmp_path):
         path = tmp_path / "wave.csv"
         path.write_text("time_s,ch1\n0.0,1.0\n1e-10,1_0\n")
