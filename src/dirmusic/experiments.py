@@ -179,7 +179,6 @@ class SweepReport:
     """Results of a parameter sweep: per setting, one row of aggregated
     statistics and the :class:`TrialBatch` it was computed from."""
 
-    setting_name: str
     rows: tuple[SweepRow, ...]
     batches: tuple[TrialBatch, ...]
 
@@ -348,7 +347,7 @@ def _sweep(name: str, cfgs: list[TrialConfig]) -> SweepReport:
                 n_trials=stats.n,
             )
         )
-    return SweepReport(setting_name=name, rows=tuple(rows), batches=tuple(batches))
+    return SweepReport(rows=tuple(rows), batches=tuple(batches))
 
 
 def run_snr_sweep(cfg: TrialConfig, snr_db_list) -> SweepReport:

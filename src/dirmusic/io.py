@@ -38,7 +38,7 @@ __all__ = [
     "write_table",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _PATTERN_HEADER = ["amplitude", "center_deg", "width_deg"]
 _SAMPLES_HEADER = ["angle_deg", "gain"]
@@ -249,12 +249,12 @@ def write_sweep_csv(path, report: SweepReport) -> None:
     write_table(path, _SWEEP_HEADER, (record.values() for record in _sweep_records(report)))
 
 
-def write_sweep_json(path, report: SweepReport, config: dict) -> None:
+def write_sweep_json(path, setting_name: str, report: SweepReport, config: dict) -> None:
     write_json(
         path,
         {
             "schema_version": SCHEMA_VERSION,
-            "setting_name": report.setting_name,
+            "setting_name": setting_name,
             "rows": _sweep_records(report),
             "config": config,
         },

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (exit codes and files)."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from dirmusic.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from dirmusic.estimator import default_grid
@@ -129,10 +131,22 @@ class TestManifoldDump:
         assert printed == expected
 
 
-@pytest.mark.parametrize("command", [["manifold"], ["estimate", "wave.csv"]])
-@pytest.mark.parametrize("flag", ["--trials", "--seed", "--threshold-deg"])
-def test_trial_flags_rejected_where_no_trial_runs(command, flag):
-    assert main(command + [flag, "1"]) == EXIT_USAGE
+# A subcommand has a flag only for a key its run reads: a run that draws no
+# trials has no trial flags, and an element sweep, which uses the uniform
+# layout of each count, has no layout flags.
+_NO_SUCH_KEY = [
+    *([*command, flag, "1"] for command in (["manifold"], ["estimate", "wave.csv"])
+      for flag in ("--trials", "--seed", "--threshold-deg")),
+    ["sweep-elements", "--elements-list", "2", "--out", "el", "--elements", "3"],
+    ["sweep-elements", "--elements-list", "2", "--out", "el", "--offsets", "0,60"],
+]
+
+
+@pytest.mark.parametrize("argv", _NO_SUCH_KEY, ids=[argv[0] + argv[-2] for argv in _NO_SUCH_KEY])
+def test_flag_rejected_where_the_run_reads_no_such_key(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unset_values_take_the_dataclass_defaults(tmp_path):
@@ -389,6 +403,7 @@ class TestSweeps:
     def test_sweep_config_omits_swept_field(self, tmp_path, argv, key, replaced, settings):
         assert main(argv + ["--trials", "2", "--out", str(tmp_path / "s")]) == EXIT_OK
         payload = json.loads((tmp_path / "s.json").read_text())
+        assert payload["setting_name"] == key
         assert payload["config"][key] == settings
         assert not replaced & set(payload["config"])
         assert payload["config"]["trials"] == 2
@@ -404,7 +419,8 @@ class TestSweeps:
         assert main(["simulate", *runs, "--out", "run"]) == EXIT_OK
         assert main(["sweep-snr", *runs, "--snr-db", "10", "--out", "snr"]) == EXIT_OK
         assert main(["sweep-error", *runs, "--epsilon", "0.05", "--out", "eps"]) == EXIT_OK
-        assert main(["sweep-elements", *runs, "--elements-list", "2", "--out", "el"]) == EXIT_OK
+        el = ["sweep-elements", "--trials", "2", "--pattern", "p.csv", "--elements-list", "2"]
+        assert main([*el, "--out", "el"]) == EXIT_OK
         assert main(["estimate", "wave.csv", *layout, "--out", "est.json"]) == EXIT_OK
         expected = {"elements": 4, "offsets": [0.0, 60.0, 120.0, 180.0], "pattern": lobes}
         for output in ("run_summary.json", "snr.json", "eps.json", "est.json"):
@@ -414,6 +430,23 @@ class TestSweeps:
         recorded = json.loads(Path("el.json").read_text())["config"]
         assert recorded["pattern"] == lobes
         assert not {"elements", "offsets"} & set(recorded)
+
+    @pytest.mark.parametrize(
+        "argv, replaced",
+        [
+            (["sweep-elements", "--elements-list", "2", "4"], {"elements": 3, "offsets": [0, 60]}),
+            (["sweep-snr", "--snr-db", "10"], {"snr_db_fixed": "abc"}),
+        ],
+        ids=["sweep-elements", "sweep-snr"],
+    )
+    def test_sweep_ignores_the_keys_its_list_replaces(self, tmp_path, monkeypatch, argv, replaced):
+        monkeypatch.chdir(tmp_path)
+        Path("with.json").write_text(json.dumps({"trials": 2, **replaced}))
+        Path("without.json").write_text(json.dumps({"trials": 2}))
+        for tag in ("with", "without"):
+            assert main([*argv, "--config", f"{tag}.json", "--out", tag]) == EXIT_OK
+        for suffix in (".csv", ".json"):
+            assert Path("with" + suffix).read_bytes() == Path("without" + suffix).read_bytes()
 
     def test_element_sweep_runs(self, tmp_path):
         code = main(
@@ -441,6 +474,8 @@ _TRIAL_FLAGS = ["--trials", "4", "--seed", "11", "--threshold-deg", "3"]
           "--grid-step", "2", *_TRIAL_FLAGS], ["_trials.csv", "_summary.json"]),
         (["sweep-snr", "--snr-db", "10", "-5", "--elements", "4", *_TRIAL_FLAGS],
          [".csv", ".json"]),
+        (["sweep-snr", "--snr-db", "10", "-5", "--epsilon", "0.05", *_TRIAL_FLAGS],
+         [".csv", ".json"]),
         (["sweep-error", "--epsilon", "0", "0.1", "--snr-db", "-5", "--offsets", "0,60,120,180",
           *_TRIAL_FLAGS], [".csv", ".json"]),
         (["sweep-elements", "--elements-list", "2", "4", "--epsilon", "0.1", *_TRIAL_FLAGS],
@@ -448,7 +483,8 @@ _TRIAL_FLAGS = ["--trials", "4", "--seed", "11", "--threshold-deg", "3"]
         (["estimate", "wave.csv", "--offsets", "0,60,120,180", "--taps", "501",
           "--k-sigma", "4.5"], [""]),
     ],
-    ids=["simulate", "sweep-snr", "sweep-error", "sweep-elements", "estimate"],
+    ids=["simulate", "sweep-snr", "sweep-snr-epsilon", "sweep-error", "sweep-elements",
+         "estimate"],
 )
 def test_own_json_output_as_config_writes_the_same_files(
     tmp_path, capsys, monkeypatch, argv, outputs
@@ -468,6 +504,30 @@ def test_own_json_output_as_config_writes_the_same_files(
     for suffix in outputs:
         assert Path("second" + suffix).read_bytes() == Path("first" + suffix).read_bytes()
     assert json.loads(Path(config).read_text())["config"]["pattern"] == params.tolist()
+
+
+# Each subcommand that writes JSON has a flag for exactly the keys that its
+# output's config block records, and records every key it has a flag for.
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["simulate", "--trials", "2"], "s_summary.json"),
+        (["sweep-snr", "--snr-db", "10", "--trials", "2"], "s.json"),
+        (["sweep-error", "--epsilon", "0.05", "--trials", "2"], "s.json"),
+        (["sweep-elements", "--elements-list", "2", "--trials", "2"], "s.json"),
+        (["estimate", "wave.csv", "--offsets", "0,60,120,180"], "s"),
+    ],
+    ids=["simulate", "sweep-snr", "sweep-error", "sweep-elements", "estimate"],
+)
+def test_flags_are_the_keys_the_output_records(tmp_path, monkeypatch, argv, output):
+    monkeypatch.chdir(tmp_path)
+    _write_recording(tmp_path / "wave.csv")
+    assert main([*argv, "--out", "s"]) == EXIT_OK
+    recorded = json.loads(Path(output).read_text())["config"]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices[argv[0]]._actions} - {"help"}
+    assert dests - {"config", "pattern", "out", "recording"} == set(recorded) - {"pattern"}
 
 
 class TestEstimate:

@@ -200,7 +200,7 @@ def _sweep_report(settings_and_errors):
         stats = summarize(batch)
         rows.append(SweepRow(setting, stats.accuracy, stats.mean, stats.std, stats.n))
         batches.append(batch)
-    return SweepReport(setting_name="snr_db", rows=tuple(rows), batches=tuple(batches))
+    return SweepReport(rows=tuple(rows), batches=tuple(batches))
 
 
 class TestReportFiles:
@@ -221,7 +221,7 @@ class TestReportFiles:
         import json
 
         path = tmp_path / "sweep.json"
-        dio.write_sweep_json(path, self._report(), {"seed": 1})
+        dio.write_sweep_json(path, "snr_db", self._report(), {"seed": 1})
         payload = json.loads(path.read_text())
         assert payload["schema_version"] == dio.SCHEMA_VERSION
         assert payload["setting_name"] == "snr_db"
@@ -252,7 +252,7 @@ class TestReportFiles:
         ),
         pytest.param(
             lambda path: dio.write_sweep_json(
-                path, _sweep_report([(1.0, [0.0])]), {}
+                path, "snr_db", _sweep_report([(1.0, [0.0])]), {}
             ),
             id="sweep_json",
         ),
