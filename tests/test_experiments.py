@@ -17,7 +17,9 @@ from dirmusic.experiments import (
     run_trial,
     summarize,
 )
-from dirmusic.signal import SamplingSpec
+from dirmusic.estimator import sample_covariance
+from dirmusic.manifold import perturb, steering_vector
+from dirmusic.signal import SamplingSpec, add_awgn, pd_pulse, synthesize_clean
 
 # Short records keep unit tests quick; the acceptance suite runs the
 # full-length defaults.
@@ -248,9 +250,12 @@ class TestSweepsShareDraws:
                 [0.1, 0.0, 0.05],
                 {"integer_directions": True},
             ),
+            (run_snr_sweep, "snr_db", [300.0, 10.0], {}),
+            (run_snr_sweep, "snr_db", [10.0, 300.0], {}),
         ],
         ids=["error_list_with_zero", "snr_at_nonzero_error", "repeated_snr",
-             "repeated_error", "integer_directions_snr", "integer_directions_error"],
+             "repeated_error", "integer_directions_snr", "integer_directions_error",
+             "wide_span_noiseless_first", "wide_span_noiseless_last"],
     )
     def test_mixed_and_repeated_settings(self, runner, field, values, base):
         cfg = dataclasses.replace(FAST, n_trials=24, **base)
@@ -258,16 +263,73 @@ class TestSweepsShareDraws:
         assert report.batches == tuple(_per_setting(cfg, field, values))
         assert [row.setting for row in report.rows] == [float(v) for v in values]
 
-    def test_snr_sweep_builds_each_clean_record_once(self, monkeypatch):
-        original, calls = experiments.synthesize_clean, []
+    @pytest.mark.parametrize("name", ["synthesize_clean", "add_awgn", "eig_sym"])
+    def test_snr_sweep_runs_once_per_trial(self, monkeypatch, name):
+        original, calls = getattr(experiments, name), []
 
-        def counting(gains, pulse):
+        def counting(*args):
             calls.append(1)
-            return original(gains, pulse)
+            return original(*args)
 
-        monkeypatch.setattr(experiments, "synthesize_clean", counting)
-        run_snr_sweep(dataclasses.replace(FAST, n_trials=5), [10.0, 0.0, -10.0])
+        monkeypatch.setattr(experiments, name, counting)
+        run_snr_sweep(dataclasses.replace(FAST, n_trials=5), [10.0, 5.0, 0.0, -5.0, -10.0])
         assert len(calls) == 5
+
+
+def _own_record_covariance(cfg, child):
+    """The sample covariance of a setting's own noisy record, drawn from
+    trial ``child``'s generator as run_batch draws it."""
+    rng = np.random.default_rng(child)
+    gains = steering_vector(cfg.pattern, cfg.array(), rng.uniform(1.0, 360.0))
+    if cfg.manifold_error > 0.0:
+        gains = perturb(gains, cfg.manifold_error, rng)
+    clean = synthesize_clean(gains, pd_pulse(cfg.pulse, cfg.sampling))
+    return sample_covariance(add_awgn(clean, cfg.snr_db, rng))
+
+
+class TestCovarianceExpansion:
+    """A group builds only the noisy record of each trial's noisiest
+    setting, whose covariance is exactly that of run_batch; every other
+    setting's covariance equals the one of its own record to rounding."""
+
+    @pytest.mark.parametrize(
+        "cfg, field, values",
+        [
+            (ACCEPTANCE, "snr_db", [10.0, 5.0, 0.0, -5.0, -10.0]),
+            (ACCEPTANCE, "manifold_error", [0.025, 0.05, 0.075, 0.1]),
+            (
+                dataclasses.replace(ACCEPTANCE, n_elements=4, offsets_deg=SUBSET4),
+                "snr_db",
+                [10.0, 5.0, 0.0, -5.0, -10.0],
+            ),
+            (dataclasses.replace(ACCEPTANCE, n_elements=1), "snr_db", [10.0, -10.0]),
+            (dataclasses.replace(ACCEPTANCE, manifold_error=0.05), "snr_db", [-10.0, 10.0]),
+            (ACCEPTANCE, "snr_db", [300.0, 10.0]),
+        ],
+        ids=["snr_6_elements", "manifold_error", "snr_4_element_subset", "one_element",
+             "snr_at_nonzero_error", "wide_snr_span"],
+    )
+    def test_each_setting_matches_its_own_record(self, monkeypatch, cfg, field, values):
+        stacks, original = [], experiments.eig_sym
+
+        def capturing(covariances):
+            stacks.append(np.array(covariances))
+            return original(covariances)
+
+        monkeypatch.setattr(experiments, "eig_sym", capturing)
+        settings = [dataclasses.replace(cfg, **{field: v}) for v in values]
+        experiments._run_group(settings, pd_pulse(cfg.pulse, cfg.sampling))
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)
+        assert len(stacks) == len(children)
+        for stack, child in zip(stacks, children):
+            assert stack.shape == (len(settings), cfg.n_elements, cfg.n_elements)
+            wants = [_own_record_covariance(setting, child) for setting in settings]
+            assert any(np.array_equal(got, want) for got, want in zip(stack, wants))
+            for got, want in zip(stack, wants):
+                # rounding is relative to the matrix's scale: an entry near
+                # zero keeps the absolute error of the large ones
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestTrialConfig:
