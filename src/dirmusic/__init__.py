@@ -12,6 +12,7 @@ from .estimator import (
     default_grid,
     eig_sym,
     estimate_doa,
+    estimate_from_covariance,
     noise_subspace,
     sample_covariance,
     spatial_spectrum,

@@ -5,9 +5,10 @@ symmetric eigendecomposition, noise subspace from the small eigenvalues,
 then a spatial spectrum P(theta) = 1 / ||En^T g(theta)||^2 whose peak is
 the direction estimate. All arithmetic is real valued; the data are
 baseband voltage samples and the manifold carries gains, not phases.
-The eigendecomposition, noise subspace and spectrum stages also accept
-a stack of covariances, with the same result per matrix. There is one
-source, so the noise subspace is always N - 1 dimensional.
+The eigendecomposition, noise subspace and spectrum stages, and
+:func:`estimate_from_covariance` that chains them, also accept a stack
+of covariances, with the same result per matrix. There is one source,
+so the noise subspace is always N - 1 dimensional.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "eig_sym",
     "noise_subspace",
     "spatial_spectrum",
+    "estimate_from_covariance",
     "estimate_doa",
     "angular_error",
 ]
@@ -59,10 +61,12 @@ class DoaEstimate:
 
     ``angle_deg`` is a member of the search grid; ties are broken toward
     the smallest angle. ``spectrum`` holds the values over the grid.
+    From a stack of covariances (..., N, N), the angle and peak are
+    arrays of shape (...) and the spectrum has shape (..., G).
     """
 
-    angle_deg: float
-    peak_value: float
+    angle_deg: float | np.ndarray
+    peak_value: float | np.ndarray
     spectrum: np.ndarray
 
 
@@ -147,6 +151,18 @@ def spatial_spectrum(noise_vectors: np.ndarray, manifold: np.ndarray) -> np.ndar
     return 1.0 / denom
 
 
+def estimate_from_covariance(r, manifold: np.ndarray, grid: np.ndarray) -> DoaEstimate:
+    """Estimate from one (N, N) covariance or a stack (..., N, N): each
+    matrix gives what a call on it alone gives. ``manifold`` holds the
+    nominal steering vectors of the ``grid`` angles, one column each."""
+    spectrum = spatial_spectrum(noise_subspace(eig_sym(r)), manifold)
+    # argmax takes the first (smallest) angle on ties
+    angle, peak = grid[spectrum.argmax(axis=-1)], spectrum.max(axis=-1)
+    if spectrum.ndim == 1:
+        angle, peak = float(angle), float(peak)
+    return DoaEstimate(angle_deg=angle, peak_value=peak, spectrum=spectrum)
+
+
 def estimate_doa(
     x, pattern: GaussianMixturePattern, array: ArrayConfig, grid_deg=None
 ) -> DoaEstimate:
@@ -160,12 +176,7 @@ def estimate_doa(
     """
     grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float).ravel()
     manifold = manifold_matrix(pattern, array, grid)
-    noise_vectors = noise_subspace(eig_sym(sample_covariance(x)))
-    spectrum = spatial_spectrum(noise_vectors, manifold)
-    peak = int(np.argmax(spectrum))  # argmax takes the first (smallest) angle on ties
-    return DoaEstimate(
-        angle_deg=float(grid[peak]), peak_value=float(spectrum[peak]), spectrum=spectrum
-    )
+    return estimate_from_covariance(sample_covariance(x), manifold, grid)
 
 
 def angular_error(estimate_deg, true_deg):

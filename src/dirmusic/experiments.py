@@ -3,11 +3,11 @@
 Each trial draws a direction uniformly from [1, 360] degrees,
 synthesizes the multichannel pulse through the (optionally perturbed)
 gain manifold, adds noise at the configured SNR, and reduces the record
-to its sample covariance. The directions of a whole batch are then
-estimated together with the nominal manifold; a single trial is a batch
-of one. A master seed is split into independent per-trial seeds, so
-runs are reproducible and trials could be executed in any order or in
-parallel.
+to its sample covariance, which the estimator that ``estimate_doa``
+runs, :func:`~dirmusic.estimator.estimate_from_covariance`, estimates
+on the nominal manifold; a single trial is a batch of one. A master
+seed is split into independent per-trial seeds, so runs are
+reproducible and trials could be executed in any order or in parallel.
 
 Every setting of a sweep reuses the master seed, and a trial draws its
 direction, then its gain error (only when the error is nonzero), then
@@ -26,14 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import (
-    angular_error,
-    default_grid,
-    eig_sym,
-    noise_subspace,
-    sample_covariance,
-    spatial_spectrum,
-)
+from .estimator import angular_error, default_grid, estimate_from_covariance, sample_covariance
 from ._checks import _integer, _number
 from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
@@ -64,10 +57,6 @@ __all__ = [
 
 #: Default master seed; documented so published runs are reproducible.
 DEFAULT_SEED = 1729
-
-# Trials per spectrum scan: the scan holds a (block, N - 1, grid) array,
-# about 6.6 MB at 10 elements on the 1-degree grid, whatever the batch.
-_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -184,16 +173,12 @@ class SweepReport:
 
 
 def _setting_gains(nominal, cfgs, rng) -> np.ndarray:
-    """One trial's gains, a row per setting of a group. Every distinct
-    nonzero width draws from the same generator state, so all take the
-    same uniforms, only scaled, and the noise draw starts after them."""
-    gains = dict.fromkeys(setting.manifold_error for setting in cfgs)
-    state = rng.bit_generator.state if len(gains) > 1 else None
-    for width in gains:
-        if state is not None:
-            rng.bit_generator.state = state
-        gains[width] = perturb(nominal, width, rng) if width > 0.0 else nominal
-    return np.array([gains[setting.manifold_error] for setting in cfgs])
+    """One trial's gains, a row per setting of a group. A group of nonzero
+    widths draws one set of uniforms, which every row takes, only scaled,
+    so the noise draw starts after them; a group of zero widths draws none."""
+    if not any(setting.manifold_error for setting in cfgs):
+        return np.array([nominal] * len(cfgs))
+    return perturb(nominal, np.array([[setting.manifold_error] for setting in cfgs]), rng)
 
 
 def _expand(covariances, gains, ref, noise_power, projection, pulse_power) -> None:
@@ -221,11 +206,11 @@ def _run_trials(cfgs, thetas, rngs, pulse) -> list[TrialBatch]:
     settings, builds the noisy record of its noisiest setting (largest
     |g|^2 / 10^(snr/10)) and reduces it to its covariance and projection
     on the pulse (:func:`_expand` gives the others), so at most two
-    (N, T) records, clean and noisy, are alive. One eigendecomposition
-    takes the trial's stack of covariances. The spectrum is then scanned
-    in blocks of ``_SCAN_BLOCK`` trials, so its memory does not grow with
-    the batch; synthesis uses the (perturbed) gains, the scan the nominal
-    manifold.
+    (N, T) records, clean and noisy, are alive. One call of
+    :func:`estimate_from_covariance` estimates the trial's stack of
+    covariances on the nominal manifold (synthesis uses the perturbed
+    gains), and only its angles are kept. Errors and success flags are
+    then taken for all settings at once.
     """
     cfg = cfgs[0]
     grid = default_grid(cfg.grid_step_deg)
@@ -239,7 +224,7 @@ def _run_trials(cfgs, thetas, rngs, pulse) -> list[TrialBatch]:
     pulse_power = np.mean(pulse**2)
 
     n = array.n_elements
-    noise = np.empty((len(cfgs), len(rngs), n, n - 1))
+    theta_hat = np.empty((len(cfgs), len(rngs)))
     covariances = np.empty((len(cfgs), n, n))
     for j, rng in enumerate(rngs):
         gains = _setting_gains(steering[j], cfgs, rng)
@@ -251,21 +236,12 @@ def _run_trials(cfgs, thetas, rngs, pulse) -> list[TrialBatch]:
         if len(cfgs) > 1:
             _expand(covariances, gains, ref, noise_power, noisy @ pulse / pulse.size, pulse_power)
         del noisy  # freed before the next trial builds its clean record
-        noise[:, j] = noise_subspace(eig_sym(covariances))
+        theta_hat[:, j] = estimate_from_covariance(covariances, manifold, grid).angle_deg
 
-    batches = []
-    for s, setting in enumerate(cfgs):
-        peaks = np.empty(len(rngs), dtype=np.intp)
-        for start in range(0, len(rngs), _SCAN_BLOCK):
-            block = slice(start, start + _SCAN_BLOCK)
-            # argmax takes the first (smallest) angle on ties
-            peaks[block] = np.argmax(spatial_spectrum(noise[s, block], manifold), axis=-1)
-        theta_hat = grid[peaks]
-        error = angular_error(theta_hat, theta_true)
-        compare = np.less_equal if setting.inclusive_success else np.less
-        success = compare(np.abs(error), setting.success_threshold_deg)
-        batches.append(TrialBatch(theta_true, theta_hat, error, success))
-    return batches
+    error = angular_error(theta_hat, theta_true)
+    compare = np.less_equal if cfg.inclusive_success else np.less
+    success = compare(np.abs(error), cfg.success_threshold_deg)
+    return [TrialBatch(theta_true, *fields) for fields in zip(theta_hat, error, success)]
 
 
 def run_trial(cfg: TrialConfig, theta_true_deg: float, rng: np.random.Generator) -> TrialBatch:

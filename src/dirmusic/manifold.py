@@ -83,15 +83,20 @@ def manifold_matrix(
     return eval_pattern(pattern, np.add.outer(offsets, grid))
 
 
-def perturb(gains, half_width: float, rng: np.random.Generator) -> np.ndarray:
+def perturb(gains, half_width, rng: np.random.Generator) -> np.ndarray:
     """Add one uniform U(-half_width, half_width) draw per element.
 
     Models channel amplitude error: the draw is taken once per call (one
     Monte Carlo trial), not per time sample. Entries may go negative;
     the error can flip the sign of a near-zero reading, so no clamping
-    is applied.
+    is applied. An array of widths, such as an (S, 1) column, shares one
+    draw: each entry equals that of a call with its width alone on a
+    generator at the same state.
     """
-    if _number("half_width", half_width) < 0.0:
+    widths = np.array([_number("half_width", w) for w in np.ravel(half_width)])
+    if (widths < 0.0).any():
         raise ValueError(f"half_width must be >= 0, got {half_width}")
+    widths = widths.reshape(np.shape(half_width))
     g = np.asarray(gains, dtype=float)
-    return g + rng.uniform(-half_width, half_width, size=g.shape)
+    # the arithmetic of rng.uniform(-w, w), bit for bit, for every width at once
+    return g + (2.0 * widths * rng.random(g.shape) - widths)

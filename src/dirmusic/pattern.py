@@ -58,8 +58,9 @@ class GaussianMixturePattern:
     """Azimuth gain pattern as an ordered sum of Gaussian lobes.
 
     ``lobes`` takes any (k, 3) rows of (amplitude >= 0, center_deg in
-    [0, 360), width_deg > 0) and holds them as float triples in a tuple,
-    so a pattern is hashable.
+    [0, 360), width_deg > 0), at least one amplitude > 0, and holds them
+    as float triples in a tuple, so a pattern is hashable;
+    ``np.array(pattern.lobes)`` gives the (k, 3) array.
 
     Evaluation wraps the angle into [0, 360) first. The Gaussian sum
     itself is not periodic, so g(0) and g(360 - eps) differ slightly;
@@ -83,11 +84,9 @@ class GaussianMixturePattern:
             if c <= 0.0:
                 raise ValueError(f"width_deg must be > 0, got {c}")
             lobes.append((a, b, c))
+        if not any(a > 0.0 for a, _, _ in lobes):
+            raise ValueError("amplitude must be > 0 in at least one lobe, got all 0")
         object.__setattr__(self, "lobes", tuple(lobes))
-
-    def as_params(self) -> np.ndarray:
-        """Return the (k, 3) array of (amplitude, center, width) rows."""
-        return np.array(self.lobes)
 
 
 #: Three-lobe fit of the measured directional spiral element at 1.25 GHz,

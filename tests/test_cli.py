@@ -98,6 +98,23 @@ def test_malformed_csv_row_is_parse_error_naming_file_and_line(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.csv"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--trials", "2"], ["estimate", "wave.csv", "--offsets", "0,60,120,180"]],
+    ids=["simulate", "estimate"],
+)
+def test_all_zero_pattern_is_parse_error_naming_amplitude(tmp_path, capsys, monkeypatch, command):
+    # zero gain everywhere: simulate would find no power to scale noise to,
+    # and estimate would report the flat spectrum's first angle
+    monkeypatch.chdir(tmp_path)
+    _write_recording(tmp_path / "wave.csv")
+    Path("zero.csv").write_text(_PATTERN + "0.0,218.1,51.73\n")
+    assert main([*command, "--pattern", "zero.csv", "--out", "out"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "amplitude" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wave.csv", "zero.csv"]
+
+
 class TestManifoldDump:
     def test_writes_grid_csv(self, tmp_path):
         out = tmp_path / "manifold.csv"
@@ -491,7 +508,7 @@ def test_own_json_output_as_config_writes_the_same_files(
 ):
     monkeypatch.chdir(tmp_path)
     _write_recording(tmp_path / "wave.csv")
-    params = DEFAULT_PATTERN.as_params()
+    params = np.array(DEFAULT_PATTERN.lobes)
     params[:, 2] *= 1.1
     dio.write_pattern_csv("pattern.csv", GaussianMixturePattern(params))
     assert main([*argv, "--pattern", "pattern.csv", "--out", "first"]) == EXIT_OK
@@ -625,7 +642,7 @@ class TestEstimate:
         out = tmp_path / "result.json"
         assert main(["estimate", str(wave), "--elements", "4", "--out", str(out)]) == EXIT_OK
         recorded = json.loads(out.read_text())["config"]
-        assert recorded["pattern"] == DEFAULT_PATTERN.as_params().tolist()
+        assert recorded["pattern"] == [list(lobe) for lobe in DEFAULT_PATTERN.lobes]
         assert recorded["k_sigma"] == 5.0
 
     def test_unknown_subcommand_is_usage_error(self):

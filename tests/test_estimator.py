@@ -10,6 +10,7 @@ from dirmusic.estimator import (
     default_grid,
     eig_sym,
     estimate_doa,
+    estimate_from_covariance,
     noise_subspace,
     sample_covariance,
     spatial_spectrum,
@@ -200,6 +201,21 @@ class TestBatchedStages:
         for j in range(n_matrices):
             single = spatial_spectrum(noise_subspace(eig_sym(covs[j])), manifold)
             assert np.array_equal(stacked[j], single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PSD_STACK)
+    def test_estimate_stack_equals_per_matrix(self, n, n_matrices, n_snapshots, seed):
+        covs = _psd_stack(n, n_matrices, n_snapshots, seed)
+        grid = default_grid()
+        manifold = manifold_matrix(DEFAULT_PATTERN, ArrayConfig.uniform(n), grid)
+        stacked = estimate_from_covariance(covs, manifold, grid)
+        assert stacked.angle_deg.shape == stacked.peak_value.shape == (n_matrices,)
+        for j in range(n_matrices):
+            single = estimate_from_covariance(covs[j], manifold, grid)
+            assert type(single.angle_deg) is float and type(single.peak_value) is float
+            assert stacked.angle_deg[j] == single.angle_deg
+            assert stacked.peak_value[j] == single.peak_value
+            assert np.array_equal(stacked.spectrum[j], single.spectrum)
 
 
 class TestEstimateDoa:

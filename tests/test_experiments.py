@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirmusic import experiments
+from dirmusic import estimator, experiments
 from dirmusic.experiments import (
-    _SCAN_BLOCK,
     TrialBatch,
     TrialConfig,
     run_batch,
@@ -71,8 +70,6 @@ class TestRunBatch:
         [
             {},
             {"integer_directions": True, "inclusive_success": True},
-            # a batch that spans a spectrum-scan block boundary
-            pytest.param({"n_elements": 10, "n_trials": _SCAN_BLOCK + 3}, id="across_scan_blocks"),
         ],
     )
     def test_trial_j_is_run_trial_on_child_j(self, protocol):
@@ -263,17 +260,45 @@ class TestSweepsShareDraws:
         assert report.batches == tuple(_per_setting(cfg, field, values))
         assert [row.setting for row in report.rows] == [float(v) for v in values]
 
-    @pytest.mark.parametrize("name", ["synthesize_clean", "add_awgn", "eig_sym"])
-    def test_snr_sweep_runs_once_per_trial(self, monkeypatch, name):
-        original, calls = getattr(experiments, name), []
+    @pytest.mark.parametrize(
+        "module, name",
+        [(experiments, "synthesize_clean"), (experiments, "add_awgn"), (estimator, "eig_sym")],
+        ids=["synthesize_clean", "add_awgn", "eig_sym"],
+    )
+    def test_snr_sweep_runs_once_per_trial(self, monkeypatch, module, name):
+        original, calls = getattr(module, name), []
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(experiments, name, counting)
+        monkeypatch.setattr(module, name, counting)
         run_snr_sweep(dataclasses.replace(FAST, n_trials=5), [10.0, 5.0, 0.0, -5.0, -10.0])
         assert len(calls) == 5
+
+
+class TestSettingGains:
+    """A group's gains are one perturb draw per trial, shared by its widths."""
+
+    NOMINAL = steering_vector(FAST.pattern, FAST.array(), 123.4)
+
+    @pytest.mark.parametrize("widths", [[0.025, 0.05, 0.075, 0.1], [0.1, 0.01, 0.1], [0.3]])
+    def test_each_row_is_perturb_on_a_generator_at_the_same_state(self, widths):
+        settings = [dataclasses.replace(FAST, manifold_error=w) for w in widths]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            gains = experiments._setting_gains(self.NOMINAL, settings, rng)
+            next_draw = rng.random()
+            for row, width in zip(gains, widths):
+                fresh = np.random.default_rng(seed)
+                assert (row == perturb(self.NOMINAL, width, fresh)).all()
+                assert fresh.random() == next_draw
+
+    def test_zero_widths_draw_nothing(self):
+        rng = np.random.default_rng(7)
+        gains = experiments._setting_gains(self.NOMINAL, [FAST, FAST], rng)
+        assert (gains == self.NOMINAL).all() and gains.shape == (2, FAST.n_elements)
+        assert rng.random() == np.random.default_rng(7).random()
 
 
 def _own_record_covariance(cfg, child):
@@ -310,13 +335,13 @@ class TestCovarianceExpansion:
              "snr_at_nonzero_error", "wide_snr_span"],
     )
     def test_each_setting_matches_its_own_record(self, monkeypatch, cfg, field, values):
-        stacks, original = [], experiments.eig_sym
+        stacks, original = [], experiments.estimate_from_covariance
 
-        def capturing(covariances):
+        def capturing(covariances, manifold, grid):
             stacks.append(np.array(covariances))
-            return original(covariances)
+            return original(covariances, manifold, grid)
 
-        monkeypatch.setattr(experiments, "eig_sym", capturing)
+        monkeypatch.setattr(experiments, "estimate_from_covariance", capturing)
         settings = [dataclasses.replace(cfg, **{field: v}) for v in values]
         experiments._run_group(settings, pd_pulse(cfg.pulse, cfg.sampling))
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)

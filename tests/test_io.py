@@ -20,7 +20,7 @@ class TestPatternFiles:
         path = tmp_path / "pattern.csv"
         dio.write_pattern_csv(path, DEFAULT_PATTERN)
         back = dio.read_pattern_csv(path)
-        assert_allclose(back.as_params(), DEFAULT_PATTERN.as_params())
+        assert_allclose(np.array(back.lobes), np.array(DEFAULT_PATTERN.lobes))
 
     def test_bad_header_names_offending_column(self, tmp_path):
         path = tmp_path / "pattern.csv"

@@ -122,6 +122,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaussianMixturePattern(())
 
+    @pytest.mark.parametrize("lobes", [[(0.0, 10.0, 5.0)], [(0.0, 10.0, 5.0), (0.0, 200.0, 30.0)]])
+    def test_pattern_needs_a_nonzero_amplitude(self, lobes):
+        # an all-zero table gives zero gain everywhere: no signal to locate
+        with pytest.raises(ValueError, match="amplitude"):
+            GaussianMixturePattern(lobes)
+        assert GaussianMixturePattern(lobes + [(0.5, 90.0, 20.0)]).lobes[-1] == (0.5, 90.0, 20.0)
+
     @pytest.mark.parametrize(
         "lobes",
         [[(1.0, 10.0)], [(1.0, 10.0, 5.0, 2.0)], [1.0, 10.0, 5.0], ["1,10,5"], 5.0],
@@ -140,7 +147,7 @@ class TestValidation:
             assert all(type(v) is float for lobe in pattern.lobes for v in lobe)
             assert pattern == GaussianMixturePattern(table)
             assert hash(pattern) == hash(GaussianMixturePattern(table))
-        assert_array_equal(GaussianMixturePattern(table).as_params(), np.array(table))
+        assert_array_equal(np.array(GaussianMixturePattern(table).lobes), np.array(table))
 
 
 class TestJacobian:
@@ -170,7 +177,7 @@ class TestFitPattern:
         gains = truth[0] * np.exp(-(((angles - truth[1]) / truth[2]) ** 2))
         fit = fit_pattern(angles, gains, 1)
         assert fit.converged
-        got = fit.pattern.as_params()[0]
+        got = np.array(fit.pattern.lobes)[0]
         assert_allclose(got, truth, rtol=1e-6)
 
     def test_roundtrip_three_components_noise_free(self):
