@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _number
-from .manifold import ArrayConfig, manifold_matrix
+from .manifold import ArrayConfig, manifold_matrix, reject_blind
 from .pattern import GaussianMixturePattern
 
 __all__ = [
@@ -46,9 +46,9 @@ class EigenPair:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     ``vectors[..., :, j]`` pairs with ``values[..., j]``; leading axes,
-    if any, index a stack of matrices. The sign of each column is fixed
-    so its first entry with magnitude above 1e-12 is positive, making
-    the decomposition deterministic.
+    if any, index a stack of matrices. Column signs are as LAPACK
+    returns them: nothing downstream reads them, since the spectrum
+    squares every projection.
     """
 
     values: np.ndarray
@@ -98,8 +98,8 @@ def eig_sym(r) -> EigenPair:
     """Eigendecomposition of a symmetric matrix, sorted descending.
 
     ``r`` is one (N, N) matrix or a stack of shape (..., N, N).
-    Delegates to LAPACK via numpy.linalg.eigh, then reverses the order
-    and applies the deterministic sign convention. Raises when any
+    Delegates to LAPACK via numpy.linalg.eigh and reverses the order;
+    column signs are left as LAPACK returns them. Raises when any
     matrix is asymmetric beyond rounding tolerance of its own scale.
     """
     mat = np.asarray(r, dtype=float)
@@ -111,17 +111,7 @@ def eig_sym(r) -> EigenPair:
     if (asymmetry > _SYMMETRY_RTOL * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(mat)
-    values = values[..., ::-1].copy()
-    vectors = vectors[..., ::-1]
-    # A unit column always has an entry above 1e-12, so argmax finds it.
-    # Fancy indexing over the flattened stack costs a single matrix about
-    # half of what np.take_along_axis does.
-    n = mat.shape[-1]
-    flat = vectors.reshape(-1, n, n)
-    lead = np.argmax(np.abs(flat) > 1e-12, axis=1)
-    first = flat[np.arange(flat.shape[0])[:, None], lead, np.arange(n)]
-    signs = np.where(first < 0.0, -1.0, 1.0).reshape(*mat.shape[:-2], 1, n)
-    return EigenPair(values=values, vectors=vectors * signs)
+    return EigenPair(values=values[..., ::-1].copy(), vectors=vectors[..., ::-1])
 
 
 def noise_subspace(pair: EigenPair) -> np.ndarray:
@@ -176,6 +166,7 @@ def estimate_doa(
     """
     grid = default_grid() if grid_deg is None else np.asarray(grid_deg, dtype=float).ravel()
     manifold = manifold_matrix(pattern, array, grid)
+    reject_blind(pattern, array, grid, manifold.T)
     return estimate_from_covariance(sample_covariance(x), manifold, grid)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimator import angular_error, default_grid, estimate_from_covariance, sample_covariance
 from ._checks import _integer, _number
-from .manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
+from .manifold import ArrayConfig, manifold_matrix, perturb, reject_blind, steering_vector
 from .pattern import DEFAULT_PATTERN, GaussianMixturePattern
 from .signal import (
     DEFAULT_PULSE,
@@ -181,6 +181,17 @@ def _setting_gains(nominal, cfgs, rng) -> np.ndarray:
     return perturb(nominal, np.array([[setting.manifold_error] for setting in cfgs]), rng)
 
 
+def _lift(x) -> np.ndarray:
+    """``x`` scaled up by a power of two to a peak in [0.5, 1) when it peaks
+    below 2**-128, else ``x`` itself. The noise is set relative to the
+    record, so a lifted pulse or gain vector changes no estimate, but the
+    record's power and covariance would otherwise underflow to zero. The
+    built-in pattern and pulse peak far above the bound, so their records
+    keep every bit."""
+    exponent = np.frexp(np.abs(x).max())[1]
+    return np.ldexp(x, -exponent) if exponent < -128 else x
+
+
 def _expand(covariances, gains, ref, noise_power, projection, pulse_power) -> None:
     """Turn ``covariances``, each R_r of the noisiest setting ``ref``, into
     every setting's covariance, given ``projection`` p = X_r s / T.
@@ -201,7 +212,10 @@ def _run_trials(cfgs, thetas, rngs, pulse) -> list[TrialBatch]:
     in ``cfgs``; trial j draws from ``rngs[j]``. Returns one batch per setting.
 
     The settings must share one stream (:func:`_stream_key`). The grid,
-    array, manifold and steering vectors are built once. Each trial draws
+    array, manifold and steering vectors are built once, and a direction
+    where every element is blind fails here, before the first trial
+    (:func:`~dirmusic.manifold.reject_blind`). A tiny pulse or gain
+    vector is lifted (:func:`_lift`). Each trial draws
     its gain error (only when nonzero) and then its noise once for all the
     settings, builds the noisy record of its noisiest setting (largest
     |g|^2 / 10^(snr/10)) and reduces it to its covariance and projection
@@ -218,16 +232,19 @@ def _run_trials(cfgs, thetas, rngs, pulse) -> list[TrialBatch]:
     manifold = manifold_matrix(cfg.pattern, array, grid)
     theta_true = np.asarray(thetas, dtype=float)
     steering = steering_vector(cfg.pattern, array, theta_true)
+    reject_blind(cfg.pattern, array, grid, manifold.T)
+    reject_blind(cfg.pattern, array, theta_true, steering)
     snr_db = np.array([setting.snr_db for setting in cfgs])
     # noise power per unit gain power, <= 1 so a wide span cannot overflow
     noise_scale = 10.0 ** ((snr_db.min() - snr_db) / 10.0)
+    pulse = _lift(pulse)
     pulse_power = np.mean(pulse**2)
 
     n = array.n_elements
     theta_hat = np.empty((len(cfgs), len(rngs)))
     covariances = np.empty((len(cfgs), n, n))
     for j, rng in enumerate(rngs):
-        gains = _setting_gains(steering[j], cfgs, rng)
+        gains = _lift(_setting_gains(steering[j], cfgs, rng))
         noise_power = np.einsum("sn,sn->s", gains, gains) * noise_scale
         ref = int(np.argmax(noise_power))  # the noisiest setting
         clean = synthesize_clean(gains[ref], pulse)

@@ -15,7 +15,10 @@ import numpy as np
 from ._checks import _integer, _number
 from .pattern import GaussianMixturePattern, eval_pattern
 
-__all__ = ["ArrayConfig", "steering_vector", "manifold_matrix", "perturb"]
+__all__ = ["ArrayConfig", "steering_vector", "manifold_matrix", "perturb", "reject_blind"]
+
+#: Step of the sweep that names the blind sectors of a pattern, degrees.
+_SWEEP_STEP_DEG = 0.01
 
 
 @dataclass(frozen=True)
@@ -100,3 +103,29 @@ def perturb(gains, half_width, rng: np.random.Generator) -> np.ndarray:
     g = np.asarray(gains, dtype=float)
     # the arithmetic of rng.uniform(-w, w), bit for bit, for every width at once
     return g + (2.0 * widths * rng.random(g.shape) - widths)
+
+
+def reject_blind(pattern: GaussianMixturePattern, array: ArrayConfig, angles_deg, gains) -> None:
+    """Raise ValueError when some direction gives every element zero gain.
+
+    ``gains`` holds the steering vectors of the ``angles_deg`` directions,
+    one row each. At a blind direction a record has no power to set an
+    SNR against, and a zero manifold column takes the peak of every
+    spectrum (1 / floor), so neither a trial nor an estimate can use it.
+    The message names the blind sectors of a sweep at ``_SWEEP_STEP_DEG``,
+    or the first blind direction given if the sweep steps over them.
+    """
+    lit = np.asarray(gains).any(axis=-1)
+    if lit.all():
+        return
+    angles = np.arange(0.0, 360.0, _SWEEP_STEP_DEG)
+    blind = ~steering_vector(pattern, array, angles).any(axis=-1)
+    starts = np.flatnonzero(blind & ~np.roll(blind, 1))
+    ends = np.flatnonzero(blind & ~np.roll(blind, -1))
+    if starts.size and ends[0] < starts[0]:  # the first sector wraps through 0
+        ends = np.roll(ends, -1)
+    sectors = [f"{angles[a]:.2f}-{angles[b]:.2f}" for a, b in zip(starts, ends)]
+    where = ", ".join(sectors) or f"{np.asarray(angles_deg)[~lit][0]:g}"
+    raise ValueError(
+        f"pattern gives every element zero gain at {where} deg, where no direction can be estimated"
+    )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dirmusic
+from dirmusic import experiments
 from dirmusic import io as dio
 from dirmusic.cli import (
     EXIT_IO,
@@ -113,6 +114,30 @@ def test_all_zero_pattern_is_parse_error_naming_amplitude(tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert "amplitude" in captured.err and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wave.csv", "zero.csv"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--trials", "400"], ["sweep-snr", "--trials", "400", "--snr-db", "10", "0"],
+     ["estimate", "wave.csv"]],
+    ids=["simulate", "sweep_snr", "estimate"],
+)
+def test_blind_sector_is_parse_error_naming_it(tmp_path, capsys, monkeypatch, command):
+    # a 1 degree lobe leaves six sectors where all six elements see zero
+    # gain: no trial may start, and no estimate may peak at a zero column
+    monkeypatch.chdir(tmp_path)
+    _write_recording(tmp_path / "wave.csv", offsets=tuple(60.0 * k for k in range(6)))
+    Path("narrow.csv").write_text(_PATTERN + "1.0,100.0,1.0\n")
+
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(experiments, "add_awgn", no_trial)
+    assert main([*command, "--pattern", "narrow.csv", "--out", "out"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "pattern" in captured.err and "7.30-12.70, 67.30-72.70" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.csv", "wave.csv"]
 
 
 class TestManifoldDump:

@@ -18,7 +18,8 @@ from dirmusic.experiments import (
 )
 from dirmusic.estimator import sample_covariance
 from dirmusic.manifold import perturb, steering_vector
-from dirmusic.signal import SamplingSpec, add_awgn, pd_pulse, synthesize_clean
+from dirmusic.pattern import GaussianMixturePattern
+from dirmusic.signal import PulseModel, SamplingSpec, add_awgn, pd_pulse, synthesize_clean
 
 # Short records keep unit tests quick; the acceptance suite runs the
 # full-length defaults.
@@ -119,6 +120,64 @@ class TestRunBatch:
     def test_high_snr_batch_is_accurate(self):
         batch = run_batch(dataclasses.replace(FAST, snr_db=300.0, n_trials=64))
         assert batch.success.all()
+
+
+# A 1 degree lobe: on six uniform elements every element has zero gain in
+# six sectors, 7.30-12.70 deg and every 60 deg after it. A 1.3 degree lobe
+# is zero nowhere, but its records near those sectors underflow to zero
+# power unless scaled up.
+NARROW = GaussianMixturePattern([(1.0, 100.0, 1.0)])
+TINY = GaussianMixturePattern([(1.0, 100.0, 1.3)])
+
+
+class TestBlindDirections:
+    @pytest.fixture
+    def no_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(experiments, "add_awgn", refuse)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: run_batch(cfg),
+            lambda cfg: run_snr_sweep(cfg, [10.0, 0.0]),
+            lambda cfg: run_manifold_error_sweep(cfg, [0.0, 0.05]),
+            lambda cfg: run_trial(cfg, 10.0, np.random.default_rng(0)),
+        ],
+        ids=["batch", "snr_sweep", "error_sweep", "trial"],
+    )
+    # a 60 degree grid misses the blind sectors, so only the trial directions meet them
+    @pytest.mark.parametrize("grid_step", [1.0, 60.0], ids=["grid", "directions"])
+    def test_blind_sector_fails_before_the_first_trial(self, no_trial, run, grid_step):
+        cfg = dataclasses.replace(FAST, n_trials=400, pattern=NARROW, grid_step_deg=grid_step)
+        with pytest.raises(ValueError, match="pattern .* 7.30-12.70, 67.30-72.70, .*307.30-312.70 deg"):
+            run(cfg)
+
+    def test_blind_grid_fails_though_no_trial_direction_is_blind(self, no_trial):
+        # 50 deg is seen; a blind grid column would still take every peak
+        with pytest.raises(ValueError, match="7.30-12.70"):
+            run_trial(dataclasses.replace(FAST, pattern=NARROW), 50.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"pattern": TINY}, {"pulse": PulseModel(amplitude=2.0**-600)}],
+        ids=["gains", "pulse"],
+    )
+    def test_tiny_records_keep_their_estimates(self, change):
+        # unscaled, these records would have zero power: every one of the
+        # tiny pulse, and those of the 1.3 degree lobe near its blind sectors;
+        # the pulse is the default one times a power of two, and so are its records
+        cfg = dataclasses.replace(FAST, n_trials=64)
+        tiny = dataclasses.replace(cfg, **change)
+        if "pulse" in change:
+            want = run_snr_sweep(cfg, [10.0, 0.0]).batches
+        else:
+            peaks = steering_vector(TINY, cfg.array(), run_batch(cfg).theta_true_deg).max(axis=-1)
+            assert (peaks < 2.0**-560).any()  # squared, below the smallest subnormal
+            want = [run_batch(dataclasses.replace(tiny, snr_db=snr)) for snr in (10.0, 0.0)]
+        assert run_snr_sweep(tiny, [10.0, 0.0]).batches == tuple(want)
 
 
 class TestSummarize:

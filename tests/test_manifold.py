@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirmusic.manifold import ArrayConfig, manifold_matrix, perturb, steering_vector
-from dirmusic.pattern import DEFAULT_PATTERN, eval_pattern
+from dirmusic.manifold import ArrayConfig, manifold_matrix, perturb, reject_blind, steering_vector
+from dirmusic.pattern import DEFAULT_PATTERN, GaussianMixturePattern, eval_pattern
 
 
 class TestArrayConfig:
@@ -119,6 +119,34 @@ class TestManifoldMatrix:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             manifold_matrix(DEFAULT_PATTERN, ArrayConfig.uniform(6), [])
+
+
+class TestRejectBlind:
+    """A direction where every element has zero gain is refused, naming
+    the blind sectors of a 0.01 degree sweep."""
+
+    def test_lit_directions_pass(self):
+        arr, grid = ArrayConfig.uniform(6), np.arange(360.0)
+        reject_blind(DEFAULT_PATTERN, arr, grid, manifold_matrix(DEFAULT_PATTERN, arr, grid).T)
+
+    def test_names_every_sector(self):
+        pattern, arr = GaussianMixturePattern([(1.0, 100.0, 1.0)]), ArrayConfig.uniform(6)
+        gains = steering_vector(pattern, arr, [50.0, 10.0])
+        sectors = ", ".join(f"{a + 7.3:.2f}-{a + 12.7:.2f}" for a in range(0, 360, 60))
+        with pytest.raises(ValueError, match=f"^pattern gives every element zero gain at {sectors} deg,"):
+            reject_blind(pattern, arr, [50.0, 10.0], gains)
+
+    def test_sector_through_zero_is_one_sector(self):
+        pattern, arr = GaussianMixturePattern([(1.0, 100.0, 1.0)]), ArrayConfig.uniform(2)
+        with pytest.raises(ValueError, match="zero gain at 127.30-252.70, 307.30-72.70 deg,"):
+            reject_blind(pattern, arr, [0.0], steering_vector(pattern, arr, [0.0]))
+
+    def test_sector_finer_than_the_sweep_names_the_direction(self):
+        # zero only from about 359.995 deg on, between the sweep's last sample and 360
+        pattern = GaussianMixturePattern([(1.0, 100.0, 259.995 / np.sqrt(745.1332))])
+        arr = ArrayConfig.uniform(1)
+        with pytest.raises(ValueError, match="zero gain at 359.998 deg,"):
+            reject_blind(pattern, arr, [1.0, 359.998], steering_vector(pattern, arr, [1.0, 359.998]))
 
 
 class TestPerturb:
